@@ -100,6 +100,25 @@ void BM_HoldPattern(benchmark::State& state) {
 BENCHMARK(BM_HoldPattern)
     ->ArgsProduct({{0, 1}, {1'000, 10'000, 100'000}});
 
+// The hold model with one retransmission-timer pull-in per step (cancel by
+// handle + re-arm, one timer per 4 pending events): the O(1) slab
+// cancellation and the tombstone skips it leaves behind, on the hot path.
+void BM_HoldTimerChurn(benchmark::State& state) {
+  const auto kind = state.range(0) == 0 ? EventQueueKind::kCalendar
+                                        : EventQueueKind::kBinaryHeap;
+  const auto pending = static_cast<std::size_t>(state.range(1));
+  auto q = greencc::bench::make_hold_queue(kind);
+  Rng rng(1);
+  std::uint64_t seq = greencc::bench::hold_prefill(*q, rng, pending);
+  auto churn = greencc::bench::timer_churn_prefill(*q, seq, pending / 4);
+  for (auto _ : state) {
+    greencc::bench::hold_churn_step(*q, rng, seq, churn);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(q->name());
+}
+BENCHMARK(BM_HoldTimerChurn)->ArgsProduct({{0, 1}, {10'000, 100'000}});
+
 void BM_RngU64(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) {

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/rng.h"
@@ -33,15 +34,51 @@ inline std::unique_ptr<sim::EventQueue> make_hold_queue(
 }
 
 /// One hold step: pop the minimum, push its replacement. Split out so the
-/// google-benchmark loop and the baseline gate time the same code.
-inline void hold_step(sim::EventQueue& q, sim::Rng& rng, std::uint64_t& seq) {
+/// google-benchmark loop and the baseline gate time the same code. Returns
+/// the popped event's time (the hold model's clock).
+inline sim::SimTime hold_step(sim::EventQueue& q, sim::Rng& rng,
+                              std::uint64_t& seq) {
   sim::EventQueue::Event ev = q.pop_move();
+  const sim::SimTime now = ev.when;
   // Mean inter-event gap 1 us, uniform — a mid-density fleet schedule.
   const std::int64_t advance =
       1 + static_cast<std::int64_t>(rng.next_below(2000));
   ev.when = ev.when + sim::SimTime::nanoseconds(advance);
   ev.seq = seq++;
   q.push(std::move(ev));
+  return now;
+}
+
+/// Retransmission timers riding on the hold model: `handles` holds the
+/// push handle of each timer's pending far-future event.
+struct TimerChurn {
+  std::vector<sim::EventId> handles;
+  std::size_t next = 0;
+};
+
+/// Arm `timers` retransmission timers ~200 ms past the prefilled window.
+inline TimerChurn timer_churn_prefill(sim::EventQueue& q, std::uint64_t& seq,
+                                      std::size_t timers) {
+  TimerChurn churn;
+  for (std::size_t i = 0; i < timers; ++i) {
+    churn.handles.push_back(
+        q.push({sim::SimTime::milliseconds(200), seq++, [] {}}));
+  }
+  return churn;
+}
+
+/// A hold step plus one timer pull-in, the fleet's RTO churn: cancel a
+/// timer's pending event by its handle and re-arm it 200 ms past the
+/// current time. Timers are re-armed round-robin long before any deadline
+/// comes due, so every cancel hits a pending event and the tombstones
+/// pile up in the far tail the way cancelled RTOs do at fleet scale.
+inline void hold_churn_step(sim::EventQueue& q, sim::Rng& rng,
+                            std::uint64_t& seq, TimerChurn& churn) {
+  const sim::SimTime now = hold_step(q, rng, seq);
+  sim::EventId& handle = churn.handles[churn.next];
+  q.cancel(handle);
+  handle = q.push({now + sim::SimTime::milliseconds(200), seq++, [] {}});
+  churn.next = (churn.next + 1) % churn.handles.size();
 }
 
 /// Fill `q` with `pending` events so the hold loop starts in steady state:

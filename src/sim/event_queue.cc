@@ -9,63 +9,87 @@ namespace greencc::sim {
 
 namespace detail {
 
-void EventHeap::sift_up(std::size_t i) {
+// Both sifts move a hole instead of swapping: each level costs one key
+// copy, not three.
+void KeyHeap::sift_up(std::size_t i) {
+  const Key key = v_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!event_before(v_[i], v_[parent])) break;
-    std::swap(v_[i], v_[parent]);
+    if (!event_before(key, v_[parent])) break;
+    v_[i] = v_[parent];
     i = parent;
   }
+  v_[i] = key;
 }
 
-void EventHeap::sift_down(std::size_t i) {
+void KeyHeap::sift_down(std::size_t i) {
   const std::size_t n = v_.size();
+  const Key key = v_[i];
   for (;;) {
-    std::size_t smallest = i;
-    const std::size_t left = 2 * i + 1;
-    const std::size_t right = left + 1;
-    if (left < n && event_before(v_[left], v_[smallest])) smallest = left;
-    if (right < n && event_before(v_[right], v_[smallest])) smallest = right;
-    if (smallest == i) return;
-    std::swap(v_[i], v_[smallest]);
-    i = smallest;
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && event_before(v_[child + 1], v_[child])) ++child;
+    if (!event_before(v_[child], key)) break;
+    v_[i] = v_[child];
+    i = child;
   }
+  v_[i] = key;
 }
 
 }  // namespace detail
 
+// --- EventQueue (slab bookkeeping shared by every queue kind) ---
+
+EventId EventQueue::push(Event ev) {
+  const auto tag = static_cast<std::uint32_t>(ev.seq);
+  const std::uint32_t slot = slab_.acquire(std::move(ev.cb), tag);
+  ++live_;  // first: a rebuild inside push_key sizes the ring by size()
+  push_key(Key{ev.when, ev.seq, slot});
+  return (EventId{tag} << 32) | slot;
+}
+
+EventQueue::Event EventQueue::pop_move() {
+  GREENCC_DCHECK(live_ > 0) << "pop_move on an empty event queue";
+  const Key key = pop_key();
+  --live_;
+  return Event{key.when, key.seq, slab_.take(key.slot)};
+}
+
+bool EventQueue::cancel(EventId id) {
+  const auto slot = static_cast<std::uint32_t>(id);
+  const auto tag = static_cast<std::uint32_t>(id >> 32);
+  const bool pending = slab_.is_live(slot, tag);
+  GREENCC_DCHECK(pending)
+      << "cancel of a handle that is not pending (slot " << slot << ", tag "
+      << tag << "): its event was already popped or cancelled";
+  if (!pending) return false;
+  const Callback doomed = slab_.cancel(slot);  // destroyed on return
+  --live_;
+  if (slab_.tombstones() > std::max(live_, kTombstoneSlack)) purge();
+  return true;
+}
+
 // --- BinaryHeapQueue ---
 
-void BinaryHeapQueue::push(Event ev) {
-  heap_.push(std::move(ev));
-  ++live_;
-}
-
 void BinaryHeapQueue::prune() {
-  while (!heap_.empty() && detail::contains(cancelled_, heap_.top().seq)) {
-    cancelled_.erase(heap_.top().seq);
-    heap_.pop_move();  // destroys the tombstoned callback
-  }
+  while (!heap_.empty() && reclaim_if_cancelled(heap_.top())) heap_.pop();
 }
 
-EventQueue::Event BinaryHeapQueue::pop_move() {
+void BinaryHeapQueue::purge() {
+  heap_.remove_if([this](const Key& key) { return reclaim_if_cancelled(key); });
+}
+
+EventQueue::Key BinaryHeapQueue::pop_key() {
   prune();
-  GREENCC_DCHECK(!heap_.empty()) << "pop_move on an empty event queue";
-  --live_;
-  return heap_.pop_move();
+  const Key out = heap_.pop();
+  if (!heap_.empty()) prefetch_callback(heap_.top());
+  return out;
 }
 
 SimTime BinaryHeapQueue::next_when() {
   prune();
   GREENCC_DCHECK(!heap_.empty()) << "next_when on an empty event queue";
   return heap_.top().when;
-}
-
-bool BinaryHeapQueue::cancel(EventId id) {
-  GREENCC_DCHECK(live_ > 0) << "cancel " << id << " on an empty event queue";
-  cancelled_.insert(id);
-  --live_;
-  return true;
 }
 
 // --- CalendarQueue ---
@@ -78,15 +102,14 @@ CalendarQueue::CalendarQueue()
   reset_horizon_end();
 }
 
-void CalendarQueue::push(Event ev) {
-  GREENCC_DCHECK(ev.when.ns() >= 0)
-      << "calendar queue requires non-negative times, got " << ev.when.ns();
-  ++live_;
-  const std::int64_t t = ev.when.ns();
+void CalendarQueue::push_key(const Key& key) {
+  GREENCC_DCHECK(key.when.ns() >= 0)
+      << "calendar queue requires non-negative times, got " << key.when.ns();
+  const std::int64_t t = key.when.ns();
   if (t < cal_start_ns_ + width_ns_) {
     // Due within the cursor bucket's window (or behind a cursor that ran
     // ahead during run_until): joins the sorted ready run directly.
-    insert_ready(std::move(ev));
+    insert_ready(key);
     // A window much wider than the schedule's spacing funnels every push
     // through this sorted insert — O(run length) each. Re-derive the
     // width once the run is long and spreads over more than one ns (a
@@ -100,7 +123,7 @@ void CalendarQueue::push(Event ev) {
   }
   if (t < horizon_end_ns_) {
     buckets_[static_cast<std::size_t>(t >> width_shift_) & mask_].push_back(
-        std::move(ev));
+        key);
     ++wheel_count_;
     // Rebuild when occupancy passes ~2 events per bucket — unless the ring
     // is already at its size cap, where a rebuild would change nothing and
@@ -111,37 +134,33 @@ void CalendarQueue::push(Event ev) {
     return;
   }
   if (t < overflow_min_ns_) overflow_min_ns_ = t;
-  overflow_.push(std::move(ev));
+  overflow_.push(key);
 }
 
-void CalendarQueue::insert_ready(Event ev) {
+void CalendarQueue::insert_ready(const Key& key) {
   const auto begin = ready_.begin() + static_cast<std::ptrdiff_t>(ready_pos_);
   const auto it =
-      std::lower_bound(begin, ready_.end(), ev, detail::event_before);
-  ready_.insert(it, std::move(ev));
+      std::lower_bound(begin, ready_.end(), key, detail::event_before);
+  ready_.insert(it, key);
 }
 
 void CalendarQueue::load_bucket() {
   // Every event still in the cursor bucket lies inside its current window
   // (earlier laps were drained when the cursor last passed, later laps are
   // still beyond the horizon), so the whole bucket becomes the ready run.
-  std::vector<Event>& bucket = buckets_[cursor_];
+  std::vector<Key>& bucket = buckets_[cursor_];
   wheel_count_ -= bucket.size();
   ready_pos_ = 0;
-  if (cancelled_.empty()) {
+  if (!has_tombstones()) {
     // Common case (no tombstones outstanding anywhere): adopt the bucket's
-    // storage wholesale — the old ready run holds only moved-out husks, so
-    // the swap trades allocations instead of moving events one by one.
+    // storage wholesale — the old ready run holds only consumed keys, so
+    // the swap trades allocations instead of copying keys one by one.
     ready_.swap(bucket);
     bucket.clear();
   } else {
     ready_.clear();
-    for (Event& ev : bucket) {
-      if (is_cancelled(ev.seq)) {
-        cancelled_.erase(ev.seq);  // reclaim the tombstone
-        continue;
-      }
-      ready_.push_back(std::move(ev));
+    for (const Key& key : bucket) {
+      if (!reclaim_if_cancelled(key)) ready_.push_back(key);
     }
     bucket.clear();
   }
@@ -168,23 +187,22 @@ void CalendarQueue::load_bucket() {
 void CalendarQueue::migrate_overflow() {
   if (overflow_min_ns_ >= horizon_end_ns_) return;  // nothing due yet
   while (!overflow_.empty()) {
-    if (detail::contains(cancelled_, overflow_.top().seq)) {
-      cancelled_.erase(overflow_.top().seq);
-      overflow_.pop_move();
+    if (reclaim_if_cancelled(overflow_.top())) {
+      overflow_.pop();
       continue;
     }
     if (overflow_.top().when.ns() >= horizon_end_ns_) break;
-    Event ev = overflow_.pop_move();
-    const std::int64_t t = ev.when.ns();
+    const Key key = overflow_.pop();
+    const std::int64_t t = key.when.ns();
     if (t < cal_start_ns_ + width_ns_) {
-      insert_ready(std::move(ev));
+      insert_ready(key);
     } else {
       buckets_[static_cast<std::size_t>(t >> width_shift_) & mask_].push_back(
-          std::move(ev));
+          key);
       ++wheel_count_;
     }
   }
-  overflow_min_ns_ = overflow_.empty() ? kNoOverflow : overflow_.top().when.ns();
+  sync_overflow_min();
 }
 
 bool CalendarQueue::ensure_ready() {
@@ -192,9 +210,7 @@ bool CalendarQueue::ensure_ready() {
   for (;;) {
     // Skip tombstoned events at the front of the ready run.
     while (ready_pos_ < ready_.size() &&
-           is_cancelled(ready_[ready_pos_].seq)) {
-      cancelled_.erase(ready_[ready_pos_].seq);
-      ready_[ready_pos_].cb = nullptr;  // destroy the callback now
+           reclaim_if_cancelled(ready_[ready_pos_])) {
       ++ready_pos_;
     }
     if (ready_pos_ < ready_.size()) return true;
@@ -204,10 +220,8 @@ bool CalendarQueue::ensure_ready() {
       // instead of stepping through (possibly millions of) empty buckets.
       ready_.clear();
       ready_pos_ = 0;
-      while (!overflow_.empty() &&
-             detail::contains(cancelled_, overflow_.top().seq)) {
-        cancelled_.erase(overflow_.top().seq);
-        overflow_.pop_move();
+      while (!overflow_.empty() && reclaim_if_cancelled(overflow_.top())) {
+        overflow_.pop();
       }
       if (overflow_.empty()) {
         overflow_min_ns_ = kNoOverflow;
@@ -253,13 +267,13 @@ bool CalendarQueue::ensure_ready() {
   }
 }
 
-EventQueue::Event CalendarQueue::pop_move() {
+EventQueue::Key CalendarQueue::pop_key() {
   const bool have = ensure_ready();
   GREENCC_DCHECK(have) << "pop_move on an empty event queue";
   (void)have;
-  --live_;
-  Event out = std::move(ready_[ready_pos_]);
+  const Key out = ready_[ready_pos_];
   ++ready_pos_;
+  if (ready_pos_ < ready_.size()) prefetch_callback(ready_[ready_pos_]);
   // Compact a long consumed prefix so the ready run cannot grow without
   // bound while events keep chaining inside one bucket window.
   if (ready_pos_ > 1024 && ready_pos_ * 2 > ready_.size()) {
@@ -277,11 +291,27 @@ SimTime CalendarQueue::next_when() {
   return ready_[ready_pos_].when;
 }
 
-bool CalendarQueue::cancel(EventId id) {
-  GREENCC_DCHECK(live_ > 0) << "cancel " << id << " on an empty event queue";
-  cancelled_.insert(id);
-  --live_;
-  return true;
+void CalendarQueue::purge() {
+  const auto dead = [this](const Key& key) {
+    return reclaim_if_cancelled(key);
+  };
+  std::size_t remaining = wheel_count_;
+  for (auto& bucket : buckets_) {
+    if (remaining == 0) break;
+    if (bucket.empty()) continue;
+    remaining -= bucket.size();
+    const std::size_t before = bucket.size();
+    bucket.erase(std::remove_if(bucket.begin(), bucket.end(), dead),
+                 bucket.end());
+    wheel_count_ -= before - bucket.size();
+  }
+  ready_.erase(
+      std::remove_if(
+          ready_.begin() + static_cast<std::ptrdiff_t>(ready_pos_),
+          ready_.end(), dead),
+      ready_.end());
+  overflow_.remove_if(dead);
+  sync_overflow_min();
 }
 
 void CalendarQueue::rebuild() {
@@ -295,21 +325,17 @@ void CalendarQueue::rebuild() {
   // costs O(wheel), not O(everything pending), and the schedule's far
   // tail never gets re-sorted just because the near cluster changed
   // density.
-  std::vector<Event> events;
+  std::vector<Key> events;
   events.reserve(wheel_count_ + (ready_.size() - ready_pos_));
-  const auto take = [&](Event& ev) {
-    if (is_cancelled(ev.seq)) {
-      cancelled_.erase(ev.seq);
-      return;
-    }
-    events.push_back(std::move(ev));
+  const auto take = [&](const Key& key) {
+    if (!reclaim_if_cancelled(key)) events.push_back(key);
   };
   std::size_t remaining = wheel_count_;
   for (auto& bucket : buckets_) {
     if (remaining == 0) break;
     if (bucket.empty()) continue;
     remaining -= bucket.size();
-    for (Event& ev : bucket) take(ev);
+    for (const Key& key : bucket) take(key);
     bucket.clear();
   }
   for (std::size_t i = ready_pos_; i < ready_.size(); ++i) take(ready_[i]);
@@ -337,7 +363,7 @@ void CalendarQueue::rebuild() {
     }
     width_ns_ = std::int64_t{1} << width_shift_;
   }
-  // Size the ring for the whole pending population (live_ counts the
+  // Size the ring for the whole pending population (size() counts the
   // overflow heap too — O(1) to know), not just the gathered near set:
   // overflow events stream into the ring as the cursor advances, and an
   // undersized ring would shunt them right back out. When the target
@@ -345,7 +371,7 @@ void CalendarQueue::rebuild() {
   // already empty after the gather, and keeping them preserves their
   // capacity (a full reassign frees and reallocates thousands of vectors).
   std::size_t target = kMinBuckets;
-  while (target < live_ && target < kMaxBuckets) target *= 2;
+  while (target < size() && target < kMaxBuckets) target *= 2;
   if (target != buckets_.size()) {
     buckets_.assign(target, {});
     mask_ = target - 1;
@@ -369,17 +395,17 @@ void CalendarQueue::rebuild() {
   cursor_ = static_cast<std::size_t>(cal_start_ns_ >> width_shift_) & mask_;
   reset_horizon_end();
 
-  for (Event& ev : events) {
-    const std::int64_t t = ev.when.ns();
+  for (const Key& key : events) {
+    const std::int64_t t = key.when.ns();
     if (t < cal_start_ns_ + width_ns_) {
-      insert_ready(std::move(ev));  // due within the cursor window
+      insert_ready(key);  // due within the cursor window
     } else if (t < horizon_end_ns_) {
       buckets_[static_cast<std::size_t>(t >> width_shift_) & mask_].push_back(
-          std::move(ev));
+          key);
       ++wheel_count_;
     } else {
       if (t < overflow_min_ns_) overflow_min_ns_ = t;
-      overflow_.push(std::move(ev));
+      overflow_.push(key);
     }
   }
   // A wider ring may now cover events that waited in the overflow heap.

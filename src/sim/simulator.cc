@@ -50,10 +50,10 @@ EventId Simulator::schedule_at(SimTime when, Callback cb) {
   if (when < now_) {
     throw std::logic_error("Simulator::schedule_at: time is in the past");
   }
-  const EventId id = next_seq_++;
-  queue_->push(EventQueue::Event{when, id, std::move(cb)});
+  const EventId handle =
+      queue_->push(EventQueue::Event{when, next_seq_++, std::move(cb)});
   if (queue_->size() > peak_pending_) peak_pending_ = queue_->size();
-  return id;
+  return handle;
 }
 
 void Simulator::cancel_event(EventId id) {

@@ -20,9 +20,11 @@ namespace greencc::sim {
 /// The event store is pluggable (EventQueueKind): a calendar queue with
 /// O(1) amortized operations by default, with the former binary heap kept
 /// selectable so the determinism suite can hold both to byte-identical
-/// results. Scheduling returns an EventId; cancel_event(id) reclaims a
-/// pending event instead of leaving it to fire as a no-op (Timer relies on
-/// this for true cancellation).
+/// results. Scheduling returns an EventId handle naming the event's slot in
+/// the queue's callback slab; cancel_event(handle) destroys a pending
+/// event's callback in O(1) instead of leaving it to fire as a no-op (Timer
+/// relies on this for true cancellation). Handles are valid only while
+/// their event is pending: slots are reused after an event runs.
 ///
 /// Ownership: callbacks are `std::function<void()>`; any state they capture
 /// must outlive the simulator run. Network elements typically capture `this`
@@ -65,7 +67,8 @@ class Simulator {
 
   /// Reclaim a pending event: its callback is destroyed without running and
   /// it stops counting in pending_events(). Must only be called for an
-  /// event that has not yet fired (callers track pending-ness; see Timer).
+  /// event that has not yet fired (callers track pending-ness; see Timer);
+  /// a stale handle fails a GREENCC_DCHECK and is otherwise ignored.
   void cancel_event(EventId id);
 
   /// Run until the event queue drains or `stop()` is called.
@@ -111,6 +114,11 @@ class Simulator {
   /// the run-profiling figure that bounds event-queue memory and per-event
   /// cost.
   std::size_t peak_pending_events() const { return peak_pending_; }
+
+  /// Callback-slab slots the event queue has allocated (memory
+  /// introspection: stays O(peak pending), however many events were ever
+  /// scheduled or cancelled).
+  std::size_t event_slot_capacity() const { return queue_->slot_capacity(); }
 
  private:
   bool dispatch_next();

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
+
+#include "sim/rng.h"
 
 namespace greencc::sim {
 namespace {
@@ -262,6 +265,45 @@ TEST(Timer, ArmCancelStormLeavesNoStaleEvents) {
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(sim.events_executed(), 0u);
   EXPECT_EQ(sim.now(), SimTime::zero());  // no stale event dragged the clock
+}
+
+TEST(Timer, ArmStormKeepsSlabWithinPeakPending) {
+  // Cancellation memory is O(pending), not O(events ever scheduled): a
+  // million arms over 16 timers — pushed-out re-arms (the per-ACK RTO
+  // pattern), pull-ins (cancel + reschedule) and cancels while the clock
+  // creeps forward — may leave the callback slab no larger than the peak
+  // of live events plus at most as many not-yet-surfaced tombstones.
+  for (const EventQueueKind kind :
+       {EventQueueKind::kCalendar, EventQueueKind::kBinaryHeap}) {
+    Simulator sim(kind);
+    std::int64_t fired = 0;
+    std::vector<std::unique_ptr<Timer>> timers;
+    for (int i = 0; i < 16; ++i) {
+      timers.push_back(std::make_unique<Timer>(sim, [&fired] { ++fired; }));
+    }
+    Rng rng(11);
+    for (int i = 0; i < 1'000'000; ++i) {
+      Timer& timer = *timers[rng.next_below(timers.size())];
+      if (i % 32 == 31) {
+        timer.cancel();
+      } else if (i % 8 == 7) {
+        timer.arm(SimTime::microseconds(
+            1 + static_cast<std::int64_t>(rng.next_below(50))));
+      } else {
+        timer.arm(SimTime::milliseconds(1) +
+                  SimTime::nanoseconds(
+                      static_cast<std::int64_t>(rng.next_below(100'000))));
+      }
+      if (i % 64 == 63) sim.run_until(sim.now() + SimTime::microseconds(5));
+    }
+    sim.run();
+    EXPECT_GT(fired, 0);
+    const std::size_t peak = sim.peak_pending_events();
+    EXPECT_LE(peak, timers.size());
+    EXPECT_LE(sim.event_slot_capacity(),
+              peak + std::max(peak, EventQueue::kTombstoneSlack))
+        << sim.queue_name();
+  }
 }
 
 TEST(Timer, PullInReclaimsSupersededEvent) {
