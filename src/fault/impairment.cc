@@ -113,11 +113,10 @@ void ImpairedLink::forward(net::Packet pkt, sim::SimTime extra_delay) {
     next_->handle(pkt);
     return;
   }
-  ++held_;
-  sim_.schedule(extra_delay, [this, pkt]() {
-    --held_;
+  const std::uint32_t slot = held_.put(pkt);
+  sim_.schedule(extra_delay, [this, slot] {
     ++stats_.forwarded;
-    next_->handle(pkt);
+    next_->handle(held_.take(slot));
   });
 }
 
@@ -153,18 +152,14 @@ void ImpairedLink::audit(std::vector<std::string>& problems) const {
   // Conservation at the link: every arrival and fabricated duplicate either
   // went downstream, was dropped, or is still held for re-injection.
   const std::uint64_t in = stats_.arrived + stats_.duplicated;
-  const std::uint64_t out =
-      stats_.forwarded + total_drops() + static_cast<std::uint64_t>(held_);
-  if (held_ < 0) {
-    problems.push_back(name_ + ": held packet count is negative (" +
-                       std::to_string(held_) + ")");
-  } else if (in != out) {
+  const std::uint64_t out = stats_.forwarded + total_drops() + held_.size();
+  if (in != out) {
     problems.push_back(name_ + ": packet books do not balance: arrived " +
                        std::to_string(stats_.arrived) + " + duplicated " +
                        std::to_string(stats_.duplicated) + " != forwarded " +
                        std::to_string(stats_.forwarded) + " + dropped " +
                        std::to_string(total_drops()) + " + held " +
-                       std::to_string(held_));
+                       std::to_string(held_.size()));
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include "check/ledger.h"
 #include "net/packet.h"
+#include "net/packet_slots.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -137,8 +138,7 @@ class ImpairedLink : public net::PacketHandler {
   void register_counters(trace::CounterRegistry& reg) const;
 
   /// Re-derive the link's books: arrivals plus fabricated duplicates must
-  /// equal forwards plus drops plus packets still held for re-injection,
-  /// and the held count must be non-negative and bounded by arrivals.
+  /// equal forwards plus drops plus packets still held for re-injection.
   /// Appends one line per discrepancy to `problems`.
   void audit(std::vector<std::string>& problems) const;
 
@@ -147,7 +147,9 @@ class ImpairedLink : public net::PacketHandler {
     return stats_.loss_drops + stats_.burst_drops + stats_.down_drops;
   }
   /// Packets currently held for delayed (reorder/jitter) re-injection.
-  std::int64_t held_packets() const { return held_; }
+  std::int64_t held_packets() const {
+    return static_cast<std::int64_t>(held_.size());
+  }
   const std::string& name() const { return name_; }
   const ImpairmentConfig& config() const { return config_; }
 
@@ -171,7 +173,9 @@ class ImpairedLink : public net::PacketHandler {
   check::PacketLedger* ledger_ = nullptr;
   bool down_ = false;
   bool ge_bad_ = false;  ///< Gilbert–Elliott chain state
-  std::int64_t held_ = 0;
+  /// Packets held for delayed re-injection; each delay event captures
+  /// {this, slot}. Slots, because jitter reorders the deliveries.
+  net::PacketSlots held_;
   ImpairmentStats stats_;
 };
 

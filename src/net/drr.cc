@@ -164,8 +164,8 @@ void DrrPort::start_transmission() {
 
     const Packet* head = state.queue->peek();
     if (state.deficit >= head->size_bytes) {
-      const Packet pkt = *state.queue->dequeue(sim_.now());
-      state.deficit -= pkt.size_bytes;
+      serializing_ = *state.queue->dequeue(sim_.now());
+      state.deficit -= serializing_.size_bytes;
       if (state.queue->empty()) {
         state.in_round = false;
         state.deficit = units::Bytes::zero();
@@ -175,13 +175,8 @@ void DrrPort::start_transmission() {
       }
       transmitting_ = true;
       ++packets_sent_;
-      const sim::SimTime ser = pkt.size_bytes / config_.rate;
-      sim_.schedule(ser, [this, pkt] {
-        sim_.schedule(config_.propagation,
-                      [this, pkt] { next_->handle(pkt); });
-        transmitting_ = false;
-        start_transmission();
-      });
+      const sim::SimTime ser = serializing_.size_bytes / config_.rate;
+      sim_.schedule(ser, [this] { on_serialized(); });
       return;
     }
 
@@ -190,6 +185,14 @@ void DrrPort::start_transmission() {
     topped_up_ = false;
   }
   transmitting_ = false;
+}
+
+void DrrPort::on_serialized() {
+  const std::uint32_t slot = propagating_.put(serializing_);
+  sim_.schedule(config_.propagation,
+                [this, slot] { next_->handle(propagating_.take(slot)); });
+  transmitting_ = false;
+  start_transmission();
 }
 
 }  // namespace greencc::net

@@ -7,6 +7,7 @@
 
 #include "net/flow_map.h"
 #include "net/packet.h"
+#include "net/packet_slots.h"
 #include "net/queue.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -69,6 +70,9 @@ class DrrPort : public PacketHandler {
 
   FlowState& flow_state(FlowId flow);
   void start_transmission();
+  /// Serialization of `serializing_` finished: launch it down the wire and
+  /// pick the next packet.
+  void on_serialized();
 
   sim::Simulator& sim_;
   std::string name_;
@@ -80,6 +84,10 @@ class DrrPort : public PacketHandler {
   std::size_t round_index_ = 0;
   bool topped_up_ = false;  ///< current flow already got this visit's quantum
   bool transmitting_ = false;
+  /// The packet on the transmitter (valid while transmitting_); its
+  /// serialization event captures only `this`.
+  Packet serializing_;
+  PacketSlots propagating_;  ///< serialized, not yet delivered downstream
   std::uint64_t packets_sent_ = 0;
   std::uint64_t dropped_ = 0;
 };

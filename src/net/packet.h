@@ -34,8 +34,12 @@ struct IntRecord {
 /// packet-oriented — while `size_bytes` carries the wire size used for
 /// serialization, queue occupancy and energy accounting.
 ///
-/// Packets are small value types: there is no payload, only metadata, so
-/// copying one is cheaper than any indirection.
+/// Packets are value types with no payload, only metadata, but at ~270
+/// bytes (SACK and INT arrays) they are not free to copy. Copy one between
+/// handlers, never into event closures: a closure that large leaves
+/// std::function's inline storage and heap-allocates. Components park
+/// packets in owned storage instead (net::PacketSlots, queue rings, the
+/// sender's release records), and their events capture `{this, slot}`.
 struct Packet {
   FlowId flow = 0;
   HostId src = 0;

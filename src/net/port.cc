@@ -62,20 +62,22 @@ void QueuedPort::start_transmission() {
     return;
   }
   transmitting_ = true;
+  serializing_ = *pkt;
   ++packets_sent_;
-  bytes_sent_ += pkt->size_bytes;
-  if (on_transmit_) on_transmit_(pkt->size_bytes);
+  bytes_sent_ += serializing_.size_bytes;
+  if (on_transmit_) on_transmit_(serializing_.size_bytes);
   // Stamp in-band telemetry at departure (INT sink is the receiver).
-  if (pkt->int_enabled && pkt->int_count < pkt->int_hops.size()) {
-    auto& hop = pkt->int_hops[pkt->int_count++];
+  if (serializing_.int_enabled &&
+      serializing_.int_count < serializing_.int_hops.size()) {
+    auto& hop = serializing_.int_hops[serializing_.int_count++];
     hop.tx_bytes = bytes_sent_;
     hop.qlen_bytes = queue_.bytes();
     hop.ts = sim_.now();
     // Report the *effective* service rate for this packet size: a
     // processing stage with per-packet overhead drains slower than its
     // nominal bit rate, and that is the utilization INT readers must see.
-    const double bits =
-        static_cast<double>(pkt->size_bytes.count()) * units::kBitsPerByteF;
+    const double bits = static_cast<double>(serializing_.size_bytes.count()) *
+                        units::kBitsPerByteF;
     hop.link_rate =
         config_.per_packet_ns > 0.0
             ? units::BitRate::bps(bits / (bits / config_.rate.bps() +
@@ -83,17 +85,20 @@ void QueuedPort::start_transmission() {
             : config_.rate;
   }
   const sim::SimTime ser =
-      pkt->size_bytes / config_.rate +
+      serializing_.size_bytes / config_.rate +
       sim::SimTime::nanoseconds(static_cast<std::int64_t>(
           config_.per_packet_ns + pending_drop_penalty_ns_));
   pending_drop_penalty_ns_ = 0.0;
+  sim_.schedule(ser, [this] { on_serialized(); });
+}
+
+void QueuedPort::on_serialized() {
   // Deliver after serialization + propagation; free the transmitter after
   // serialization only.
-  sim_.schedule(ser, [this, p = *pkt]() mutable {
-    sim_.schedule(config_.propagation,
-                  [this, p]() mutable { next_->handle(p); });
-    start_transmission();
-  });
+  const std::uint32_t slot = propagating_.put(serializing_);
+  sim_.schedule(config_.propagation,
+                [this, slot] { next_->handle(propagating_.take(slot)); });
+  start_transmission();
 }
 
 }  // namespace greencc::net

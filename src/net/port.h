@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "net/packet.h"
+#include "net/packet_slots.h"
 #include "net/queue.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -137,6 +138,9 @@ class QueuedPort : public PacketHandler {
   friend struct check::AuditCorruptor;  // tests corrupt private state
 
   void start_transmission();
+  /// Serialization of `serializing_` finished: launch it down the wire and
+  /// free the transmitter.
+  void on_serialized();
 
   sim::Simulator& sim_;
   std::string name_;
@@ -147,6 +151,10 @@ class QueuedPort : public PacketHandler {
   std::function<void(units::Bytes)> on_transmit_;
   std::vector<std::function<void(units::Bytes)>> on_drop_;
   bool transmitting_ = false;
+  /// The packet on the transmitter (valid while transmitting_): the port
+  /// serializes one at a time, so its event captures only `this`.
+  Packet serializing_;
+  PacketSlots propagating_;  ///< serialized, not yet delivered downstream
   double pending_drop_penalty_ns_ = 0.0;
   std::uint64_t packets_sent_ = 0;
   units::Bytes bytes_sent_;

@@ -192,7 +192,9 @@ std::optional<Packet> DropTailQueue::dequeue(sim::SimTime now) {
 
 void DropTailQueue::audit(std::vector<std::string>& problems) const {
   units::Bytes listed_bytes;
-  for (const auto& entry : entries_) listed_bytes += entry.pkt.size_bytes;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    listed_bytes += entries_[i].pkt.size_bytes;
+  }
   if (listed_bytes != bytes_) {
     problems.push_back("cached bytes " + std::to_string(bytes_.count()) +
                        " != sum over entries " + std::to_string(listed_bytes.count()));

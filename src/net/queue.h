@@ -1,13 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/packet.h"
+#include "sim/ring.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 #include "trace/trace.h"
@@ -164,7 +164,7 @@ class DropTailQueue {
   AqmConfig aqm_;
   sim::Rng rng_;
   units::Bytes bytes_;
-  std::deque<Entry> entries_;
+  sim::Ring<Entry> entries_;
   QueueStats stats_;
   trace::TraceSink* trace_ = nullptr;
   std::string trace_src_;

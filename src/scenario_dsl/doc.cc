@@ -129,6 +129,14 @@ double value_as_double(const TomlValue& v, const std::string& key) {
   return v.as_number();
 }
 
+double value_as_work_jitter(const TomlValue& v, const std::string& key) {
+  const double jitter = value_as_double(v, key);
+  if (!(jitter >= 0.0 && jitter <= 1.0)) {
+    throw ParseError(v.line, key + " must be in [0, 1]");
+  }
+  return jitter;
+}
+
 units::Bytes value_as_size(const TomlValue& v, const std::string& key) {
   if (v.is_int()) return units::Bytes{v.integer};
   if (v.is_string()) {
@@ -222,7 +230,7 @@ void parse_scenario_section(const TomlValue& t, ScenarioDoc& doc) {
     }
   }
   if (const TomlValue* v = r.find("work_jitter")) {
-    doc.work_jitter = value_as_double(*v, "scenario.work_jitter");
+    doc.work_jitter = value_as_work_jitter(*v, "scenario.work_jitter");
   }
   if (const TomlValue* v = r.find("meter_receiver")) {
     doc.meter_receiver = value_as_bool(*v, "scenario.meter_receiver");

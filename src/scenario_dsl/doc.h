@@ -171,6 +171,11 @@ bool value_as_bool(const TomlValue& v, const std::string& key);
 std::int64_t value_as_int(const TomlValue& v, const std::string& key);
 double value_as_double(const TomlValue& v, const std::string& key);
 
+/// CPU work jitter amplitude: a number in [0, 1]. Each work item is scaled
+/// by 1 + jitter * U(-1, 1), so above 1 a packet could be charged negative
+/// work and the core's release times would run backwards.
+double value_as_work_jitter(const TomlValue& v, const std::string& key);
+
 /// Bytes: a bare integer is bytes; strings take a suffix out of
 /// B, kB, MB, GB, TB (decimal) or KiB, MiB, GiB (binary): "2GB", "64kB".
 units::Bytes value_as_size(const TomlValue& v, const std::string& key);

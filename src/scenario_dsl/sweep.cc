@@ -52,7 +52,7 @@ void set_scenario_field(ScenarioDoc& doc, const std::string& field,
   if (field == "stress_cores") {
     doc.stress_cores = static_cast<int>(value_as_int(v, path));
   } else if (field == "work_jitter") {
-    doc.work_jitter = value_as_double(v, path);
+    doc.work_jitter = value_as_work_jitter(v, path);
   } else if (field == "meter_receiver") {
     doc.meter_receiver = value_as_bool(v, path);
   } else if (field == "deadline") {

@@ -35,7 +35,6 @@ void TcpReceiver::handle(net::Packet pkt) {
   } else if (pkt.seq > rcv_nxt_) {
     out_of_order_.insert(pkt.seq, pkt.seq + 1);
     recent_ooo_.push_front(pkt.seq);
-    if (recent_ooo_.size() > 12) recent_ooo_.pop_back();
     out_of_order = true;
   } else {
     // Below rcv_nxt: spurious retransmission; ACK immediately so the
@@ -78,7 +77,9 @@ void TcpReceiver::send_ack(const net::Packet& trigger) {
     ack.sack[filled++] = {std::max(range.start, rcv_nxt_), range.end};
   };
   if (!trigger.is_ack && trigger.seq >= rcv_nxt_) add_block(trigger.seq);
-  for (std::int64_t seq : recent_ooo_) add_block(seq);
+  for (std::size_t i = 0; i < recent_ooo_.size(); ++i) {
+    add_block(recent_ooo_[i]);
+  }
   // Pad with the lowest ranges if slots remain (helps the sender fill the
   // oldest holes' context).
   if (filled < ack.sack.size()) {
@@ -147,7 +148,8 @@ void TcpReceiver::audit(std::vector<std::string>& problems) const {
   }
   // SACK hints must refer to data the receiver actually has: still
   // buffered, or already delivered past the cumulative ACK.
-  for (std::int64_t seq : recent_ooo_) {
+  for (std::size_t i = 0; i < recent_ooo_.size(); ++i) {
+    const std::int64_t seq = recent_ooo_[i];
     if (seq >= rcv_nxt_ && !out_of_order_.contains(seq)) {
       problems.push_back("recent out-of-order hint " + std::to_string(seq) +
                          " neither delivered nor buffered");

@@ -1,8 +1,7 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
-
 #include <string>
 #include <vector>
 
@@ -60,6 +59,27 @@ class TcpReceiver : public net::PacketHandler {
  private:
   friend struct check::AuditCorruptor;  // tests corrupt private state
 
+  /// The newest kCapacity values pushed, newest first, in inline storage.
+  class RecentHints {
+   public:
+    static constexpr std::size_t kCapacity = 12;
+    void push_front(std::int64_t seq) {
+      head_ = (head_ + kCapacity - 1) % kCapacity;
+      seqs_[head_] = seq;
+      if (count_ < kCapacity) ++count_;
+    }
+    std::size_t size() const { return count_; }
+    /// The i-th newest value; i < size().
+    std::int64_t operator[](std::size_t i) const {
+      return seqs_[(head_ + i) % kCapacity];
+    }
+
+   private:
+    std::array<std::int64_t, kCapacity> seqs_{};
+    std::size_t head_ = 0;  ///< slot of the newest value
+    std::size_t count_ = 0;
+  };
+
   void send_ack(const net::Packet& trigger);
   void on_delack_timeout();
 
@@ -76,7 +96,7 @@ class TcpReceiver : public net::PacketHandler {
   /// recently changed ones (RFC 2018), not merely the lowest. With many
   /// holes this is what lets the sender eventually learn about everything
   /// that did arrive.
-  std::deque<std::int64_t> recent_ooo_;
+  RecentHints recent_ooo_;
   int unacked_segments_ = 0;
   std::int32_t pending_ce_ = 0;
   bool have_trigger_ = false;

@@ -96,20 +96,13 @@ void TcpSender::send_segment(std::int64_t seq, bool is_retx) {
                    cost.per_packet_ns;
   if (is_retx) work_ns += work_.retx_ns;
   const sim::SimTime release = core_->acquire(sim_.now(), work_ns);
-
-  net::Packet pkt;
-  pkt.flow = flow_;
-  pkt.src = src_;
-  pkt.dst = dst_;
-  pkt.seq = seq;
-  pkt.size_bytes = wire_bytes;
-  pkt.ecn_capable = cc_->wants_ecn();
-  pkt.int_enabled = cc_->wants_int();
-  pkt.sent_time = release;
-  pkt.delivered_at_send = delivered_;
-  pkt.delivered_time_at_send = delivered_time_;
-  pkt.app_limited = app_limited_now_;
-  pkt.is_retx = is_retx;
+  // The tx ring and RACK's transmit order are FIFOs only because the core
+  // hands out release times that never run backwards.
+  GREENCC_DCHECK(release >= sim_.now() &&
+                 (txq_.empty() || txq_.back().release <= release) &&
+                 (xmit_order_.empty() || xmit_order_.back().when <= release))
+      << "flow " << flow_ << ": CPU release time " << release.ns()
+      << " ns runs backwards (now " << sim_.now().ns() << " ns)";
 
   SegState& seg = is_retx ? scoreboard_.at(seq) : scoreboard_.append(seq);
   if (is_retx) {
@@ -138,7 +131,7 @@ void TcpSender::send_segment(std::int64_t seq, bool is_retx) {
       << "flow " << flow_ << ": pipe " << pipe_
       << " exceeds the window high-water mark " << cwnd_hw_
       << " plus the TLP probe";
-  xmit_order_.emplace(release, XmitRecord{seq, seg.transmissions});
+  xmit_order_.push_back({release, seq, seg.transmissions});
   seg.sent_time = release;
   seg.delivered_at_send = delivered_;
   seg.delivered_time_at_send = delivered_time_;
@@ -148,7 +141,8 @@ void TcpSender::send_segment(std::int64_t seq, bool is_retx) {
   // One event per packet keeps the (when, seq) schedule identical to the
   // direct form, but the packet rides in the tx ring: a release event that
   // finds earlier same-instant deliveries already done simply no-ops.
-  txq_.emplace_back(release, pkt);
+  txq_.push_back({release, seq, delivered_, delivered_time_, app_limited_now_,
+                  is_retx});
   sim_.schedule_at(release, [this] { on_tx_event(); });
 
   if (cc_->pacing_rate().bps() > 0.0) {
@@ -164,11 +158,28 @@ void TcpSender::on_tx_event() {
   // Release times are monotone (the CPU core serializes send work), so the
   // due packets are exactly the front run of the ring.
   const sim::SimTime now = sim_.now();
-  while (!txq_.empty() && txq_.front().first <= now) {
-    const net::Packet pkt = txq_.front().second;
+  while (!txq_.empty() && txq_.front().release <= now) {
+    const TxRecord rec = txq_.front();
     txq_.pop_front();
-    nic_->handle(pkt);
+    nic_->handle(make_packet(rec));
   }
+}
+
+net::Packet TcpSender::make_packet(const TxRecord& rec) const {
+  net::Packet pkt;
+  pkt.flow = flow_;
+  pkt.src = src_;
+  pkt.dst = dst_;
+  pkt.seq = rec.seq;
+  pkt.size_bytes = config_.mss_bytes() + config_.header_bytes;
+  pkt.ecn_capable = cc_->wants_ecn();
+  pkt.int_enabled = cc_->wants_int();
+  pkt.sent_time = rec.release;
+  pkt.delivered_at_send = rec.delivered_at_send;
+  pkt.delivered_time_at_send = rec.delivered_time_at_send;
+  pkt.app_limited = rec.app_limited;
+  pkt.is_retx = rec.is_retx;
+  return pkt;
 }
 
 void TcpSender::handle(net::Packet pkt) {
@@ -212,6 +223,11 @@ void TcpSender::process_ack(const net::Packet& ack) {
       unsacked_.erase(seq);
       scoreboard_.pop_front();
     }
+    // Everything sent is acked, so every RACK record is stale: drop them
+    // now rather than let an idle or finished flow keep the ring's storage.
+    // RACK would skip them anyway, and the next record has a later send
+    // time, so it stops at the same place.
+    if (scoreboard_.empty()) xmit_order_.clear();
     snd_una_ = ack.ack_seq;
     GREENCC_DCHECK(pipe_ >= 0 && sacked_out_ >= 0 && lost_out_ >= 0)
         << "flow " << flow_ << ": aggregate went negative after cumulative "
@@ -349,10 +365,9 @@ std::int64_t TcpSender::detect_losses_rack() {
                                             : sim::SimTime::microseconds(10);
   std::int64_t newly_lost = 0;
   while (!xmit_order_.empty()) {
-    const auto it = xmit_order_.begin();
-    if (it->first + reo_wnd >= rack_xmit_time_) break;
-    const XmitRecord rec = it->second;
-    xmit_order_.erase(it);
+    const XmitRecord rec = xmit_order_.front();
+    if (rec.when + reo_wnd >= rack_xmit_time_) break;
+    xmit_order_.pop_front();
     SegState* seg_ptr = scoreboard_.find(rec.seq);
     if (seg_ptr == nullptr) continue;                  // already cum-acked
     SegState& seg = *seg_ptr;

@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -13,6 +11,7 @@
 #include "energy/calibration.h"
 #include "energy/cpu.h"
 #include "net/packet.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "tcp/rtt.h"
 #include "tcp/seq_window.h"
@@ -130,6 +129,9 @@ class TcpSender : public net::PacketHandler {
   void on_tlp();
   /// Deliver every queued transmission whose release time has arrived.
   void on_tx_event();
+  struct TxRecord;
+  /// The wire packet for a transmission released now.
+  net::Packet make_packet(const TxRecord& rec) const;
   void arm_rto();
   double pacing_interval_ns(units::Bytes wire_bytes) const;
   /// Emit a cwnd event if the controller's window moved since last emit.
@@ -163,12 +165,16 @@ class TcpSender : public net::PacketHandler {
   std::set<std::int64_t> unsacked_;
   std::set<std::int64_t> retx_queue_;            ///< lost, awaiting re-send
   /// Transmissions ordered by send time, for RACK: (xmit time, seq,
-  /// transmission number). Entries are lazily discarded when stale.
+  /// transmission number). Entries are lazily discarded when stale. Send
+  /// times are CPU release times, which never decrease (the core
+  /// serializes send work), so every record appends at the back and the
+  /// oldest is always the front.
   struct XmitRecord {
+    sim::SimTime when;
     std::int64_t seq;
     int transmission;
   };
-  std::multimap<sim::SimTime, XmitRecord> xmit_order_;
+  sim::Ring<XmitRecord> xmit_order_;
   /// Send time of the most recently delivered (sacked/acked) transmission.
   sim::SimTime rack_xmit_time_ = sim::SimTime::zero();
   std::int64_t sacked_out_ = 0;
@@ -197,13 +203,25 @@ class TcpSender : public net::PacketHandler {
   int rto_backoff_ = 0;
   sim::SimTime next_pacing_time_ = sim::SimTime::zero();
 
-  /// Transmissions awaiting their CPU-gated release time, in release order
-  /// (core release times are monotone). Keeping the ~280-byte packets here
-  /// instead of inside per-event closures keeps each release event down to
-  /// a `this` capture — small enough for std::function's inline storage, so
-  /// the pacing hot path stops heap-allocating per packet — and lets one
-  /// event deliver every packet that shares its release instant.
-  std::deque<std::pair<sim::SimTime, net::Packet>> txq_;
+  /// A transmission awaiting its CPU-gated release time: the fields of the
+  /// packet that vary per segment. make_packet() fills in the rest (flow
+  /// identity, wire size, the controller's ECN/INT requests) at release.
+  struct TxRecord {
+    sim::SimTime release;  ///< also the packet's sent_time
+    std::int64_t seq;
+    std::int64_t delivered_at_send;
+    sim::SimTime delivered_time_at_send;
+    bool app_limited;
+    bool is_retx;
+  };
+  /// Transmissions awaiting release, in release order (core release times
+  /// are monotone). Keeping them here instead of inside per-event closures
+  /// keeps each release event down to a `this` capture — small enough for
+  /// std::function's inline storage — and lets one event deliver every
+  /// packet that shares its release instant. Records, not packets: a
+  /// CPU-gated sender can back up thousands of segments, and a 40-byte
+  /// record costs a seventh of the 272-byte Packet.
+  sim::Ring<TxRecord> txq_;
 
   bool app_limited_now_ = false;
   bool cwnd_limited_now_ = false;  ///< last send attempt hit the window

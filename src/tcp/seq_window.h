@@ -1,33 +1,34 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "check/check.h"
+#include "sim/ring.h"
 
 namespace greencc::tcp {
 
-/// Dense per-segment window state: a ring buffer over the contiguous
-/// sequence range [begin_seq, end_seq).
+/// Dense per-segment window state: a seq-indexed view over a sim::Ring
+/// holding the contiguous sequence range [begin_seq, end_seq).
 ///
 /// The SACK scoreboard's keys are exactly the un-cum-acked segments — new
 /// sends append at snd_nxt, cumulative ACKs pop a prefix, everything in
 /// between stays put — so a node-per-segment `std::map` pays an allocation,
 /// red-black rebalance, and pointer chase per segment for what is really a
-/// sliding array. This ring gives O(1) append/lookup/pop-front with one
+/// sliding array. The ring gives O(1) append/lookup/pop-front with one
 /// allocation per capacity doubling, and per-flow memory that tracks the
-/// window high-water mark instead of the allocator's node heap.
+/// window high-water mark (and is released once everything is acked)
+/// instead of the allocator's node heap.
 template <typename T>
 class SeqWindow {
  public:
-  bool empty() const { return count_ == 0; }
-  std::size_t size() const { return count_; }
+  bool empty() const { return ring_.empty(); }
+  std::size_t size() const { return ring_.size(); }
 
   /// Lowest stored sequence number (== snd_una for the scoreboard).
   std::int64_t begin_seq() const { return base_; }
   /// One past the highest stored sequence number (== snd_nxt).
   std::int64_t end_seq() const {
-    return base_ + static_cast<std::int64_t>(count_);
+    return base_ + static_cast<std::int64_t>(ring_.size());
   }
   bool contains(std::int64_t seq) const {
     return seq >= begin_seq() && seq < end_seq();
@@ -36,10 +37,10 @@ class SeqWindow {
   /// Pointer to the entry for `seq`, or nullptr when it is outside the
   /// window (already cum-acked or never sent).
   T* find(std::int64_t seq) {
-    return contains(seq) ? &slot(seq - base_) : nullptr;
+    return contains(seq) ? &ring_[offset(seq)] : nullptr;
   }
   const T* find(std::int64_t seq) const {
-    return contains(seq) ? &slot(seq - base_) : nullptr;
+    return contains(seq) ? &ring_[offset(seq)] : nullptr;
   }
 
   /// Entry for `seq`; must be inside the window.
@@ -47,13 +48,13 @@ class SeqWindow {
     GREENCC_DCHECK(contains(seq))
         << "seq " << seq << " outside window [" << begin_seq() << ", "
         << end_seq() << ")";
-    return slot(seq - base_);
+    return ring_[offset(seq)];
   }
   const T& at(std::int64_t seq) const {
     GREENCC_DCHECK(contains(seq))
         << "seq " << seq << " outside window [" << begin_seq() << ", "
         << end_seq() << ")";
-    return slot(seq - base_);
+    return ring_[offset(seq)];
   }
 
   /// Entry for begin_seq(); the window must be non-empty.
@@ -67,43 +68,22 @@ class SeqWindow {
     GREENCC_DCHECK(seq == end_seq())
         << "append of seq " << seq << " would leave a gap (window end is "
         << end_seq() << ")";
-    if (count_ == data_.size()) grow();
-    T& entry = slot(count_);
-    entry = T{};
-    ++count_;
-    return entry;
+    return ring_.push_back(T{});
   }
 
   /// Drop the entry at begin_seq(); the window must be non-empty.
   void pop_front() {
     GREENCC_DCHECK(!empty()) << "pop_front on an empty window";
-    slot(0) = T{};  // release anything the entry owns
-    head_ = (head_ + 1) & (data_.size() - 1);
+    ring_.pop_front();
     ++base_;
-    --count_;
   }
 
  private:
-  T& slot(std::int64_t offset) {
-    return data_[(head_ + static_cast<std::size_t>(offset)) &
-                 (data_.size() - 1)];
-  }
-  const T& slot(std::int64_t offset) const {
-    return data_[(head_ + static_cast<std::size_t>(offset)) &
-                 (data_.size() - 1)];
+  std::size_t offset(std::int64_t seq) const {
+    return static_cast<std::size_t>(seq - base_);
   }
 
-  void grow() {
-    const std::size_t new_cap = data_.empty() ? 16 : data_.size() * 2;
-    std::vector<T> next(new_cap);
-    for (std::size_t i = 0; i < count_; ++i) next[i] = std::move(slot(i));
-    data_ = std::move(next);
-    head_ = 0;
-  }
-
-  std::vector<T> data_;  ///< power-of-two capacity ring storage
-  std::size_t head_ = 0;  ///< index of base_'s slot
-  std::size_t count_ = 0;
+  sim::Ring<T> ring_;
   std::int64_t base_ = 0;
 };
 

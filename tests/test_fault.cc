@@ -197,14 +197,30 @@ TEST(ImpairedLink, JitterDelaysWithinBound) {
   const int n = 100;
   offer_spaced(sim, link, n);
   ASSERT_EQ(sink.arrivals.size(), static_cast<std::size_t>(n));
+  // Replay the link's private jitter stream (stage 5) to know when each
+  // packet is due: jitter reorders deliveries, and every arrival must be
+  // its own packet at its own time, not whichever was held longest.
+  sim::Rng jitter(sim::mix_seed(cfg.seed, sim::site_hash("imp"), 5));
   bool any_delayed = false;
+  bool any_overtaken = false;
+  std::int64_t latest_seq = -1;
+  std::vector<SimTime> due;
+  for (int i = 0; i < n; ++i) {
+    due.push_back(SimTime::microseconds(i) +
+                  SimTime::nanoseconds(static_cast<std::int64_t>(
+                      jitter.next_below(10'000))));
+  }
   for (const auto& [t, p] : sink.arrivals) {
     const SimTime sent = SimTime::microseconds(p.seq);
     EXPECT_GE(t, sent);
     EXPECT_LT(t, sent + SimTime::microseconds(10));
+    EXPECT_EQ(t, due[static_cast<std::size_t>(p.seq)]) << "seq " << p.seq;
     if (t > sent) any_delayed = true;
+    if (p.seq < latest_seq) any_overtaken = true;
+    latest_seq = std::max(latest_seq, p.seq);
   }
   EXPECT_TRUE(any_delayed);
+  EXPECT_TRUE(any_overtaken);
   EXPECT_EQ(link.stats().jittered, static_cast<std::uint64_t>(n));
 }
 

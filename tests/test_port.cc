@@ -169,6 +169,30 @@ TEST(QueuedPort, MidRunRerateAndRedelayApplyToNextTransmission) {
   EXPECT_EQ(sink.arrivals[1].first, SimTime::microseconds(10 + 12 + 7));
 }
 
+TEST(QueuedPort, ShorterPropagationLetsALaterPacketOvertake) {
+  // Packet 0 leaves the transmitter onto a 100 us wire; the delay then
+  // drops to 1 us while packet 1 is still serializing, so packet 1 (and 2,
+  // which reuses packet 1's in-flight slot) arrive long before packet 0.
+  // Every arrival must carry its own packet at its own time.
+  Simulator sim;
+  Collector sink(sim);
+  PortConfig cfg;
+  cfg.rate = units::BitRate::bps(10e9);
+  cfg.propagation = SimTime::microseconds(100);
+  QueuedPort port(sim, "p", cfg, &sink);
+  for (int i = 0; i < 3; ++i) port.handle(pkt_of(i, 1500));  // 1.2 us each
+  sim.schedule_at(SimTime::microseconds(2),
+                  [&] { port.set_propagation(SimTime::microseconds(1)); });
+  sim.run();
+  ASSERT_EQ(sink.arrivals.size(), 3u);
+  EXPECT_EQ(sink.arrivals[0].first, SimTime::nanoseconds(2400 + 1000));
+  EXPECT_EQ(sink.arrivals[0].second.seq, 1);
+  EXPECT_EQ(sink.arrivals[1].first, SimTime::nanoseconds(3600 + 1000));
+  EXPECT_EQ(sink.arrivals[1].second.seq, 2);
+  EXPECT_EQ(sink.arrivals[2].first, SimTime::nanoseconds(1200 + 100'000));
+  EXPECT_EQ(sink.arrivals[2].second.seq, 0);
+}
+
 TEST(QueuedPort, TransmitCallbackSeesWireBytes) {
   Simulator sim;
   Collector sink(sim);

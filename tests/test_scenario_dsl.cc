@@ -152,6 +152,44 @@ TEST(Golden, UnknownUnitInRate) {
   }
 }
 
+// work_jitter scales every CPU work item by 1 + jitter * U(-1, 1): above 1
+// a packet could be charged negative work and the core's release times
+// would run backwards. Both the scalar key and a sweep axis reject it.
+TEST(Golden, WorkJitterOutsideUnitIntervalIsRejected) {
+  for (const char* bad : {"1.5", "-0.1"}) {
+    try {
+      dsl::parse_scenario_text(
+          std::string("[scenario]\nname = \"t\"\nwork_jitter = ") + bad +
+              "\n",
+          "inline.toml");
+      FAIL() << "expected DslError for work_jitter = " << bad;
+    } catch (const dsl::DslError& e) {
+      EXPECT_EQ(e.line(), 3);
+      EXPECT_NE(std::string(e.what()).find(
+                    "scenario.work_jitter must be in [0, 1]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(dsl::parse_scenario_text("[scenario]\n"
+                                        "name = \"t\"\n"
+                                        "[[sweep.axis]]\n"
+                                        "name = \"jitter\"\n"
+                                        "path = \"scenario.work_jitter\"\n"
+                                        "values = [0.5, 2.0]\n",
+                                        "inline.toml"),
+               dsl::DslError);
+
+  dsl::ScenarioDoc doc =
+      dsl::parse_scenario_text("[scenario]\nname = \"t\"\n", "inline.toml");
+  EXPECT_THROW(dsl::apply_override(doc, "scenario.work_jitter=1.01"),
+               dsl::ParseError);
+  dsl::apply_override(doc, "scenario.work_jitter=1");
+  EXPECT_DOUBLE_EQ(doc.work_jitter, 1.0);
+  dsl::apply_override(doc, "scenario.work_jitter=0");
+  EXPECT_DOUBLE_EQ(doc.work_jitter, 0.0);
+}
+
 // --- Sweep expansion --------------------------------------------------------
 
 dsl::ScenarioDoc two_axis_doc() {

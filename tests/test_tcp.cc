@@ -6,10 +6,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "cca/cca.h"
+#include "check/check.h"
 #include "energy/cpu.h"
 #include "net/port.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "tcp/receiver.h"
 #include "tcp/sender.h"
@@ -63,6 +67,45 @@ struct Harness {
   std::unique_ptr<TcpReceiver> receiver;
 };
 
+class AckCollector : public net::PacketHandler {
+ public:
+  void handle(net::Packet pkt) override { acks.push_back(pkt); }
+  std::vector<net::Packet> acks;
+};
+
+TEST(TcpReceiver, SackBlocksListNewestArrivalsFirst) {
+  // RFC 2018: the first block covers the newest arrival and the others the
+  // next most recently changed ranges, so with many holes the sender still
+  // hears about every range that arrived. Fifteen holes also wrap the
+  // receiver's 12-entry hint ring.
+  Simulator sim;
+  AckCollector nic;
+  TcpReceiver receiver(sim, 1, 2, TcpConfig{}, &nic);
+  const auto data = [](std::int64_t seq) {
+    net::Packet p;
+    p.flow = 1;
+    p.src = 1;
+    p.dst = 2;
+    p.seq = seq;
+    p.size_bytes = units::Bytes{9000};
+    return p;
+  };
+  const auto starts = [](const net::Packet& ack) {
+    return std::vector<std::int64_t>{ack.sack[0].start, ack.sack[1].start,
+                                     ack.sack[2].start};
+  };
+  const std::vector<std::int64_t> newest_first{150, 140, 130};
+  receiver.handle(data(0));
+  for (std::int64_t seq = 10; seq <= 150; seq += 10) receiver.handle(data(seq));
+  ASSERT_FALSE(nic.acks.empty());
+  EXPECT_EQ(nic.acks.back().ack_seq, 1);
+  EXPECT_EQ(starts(nic.acks.back()), newest_first);
+  // A spurious retransmission carries no block of its own: the blocks come
+  // from the hints alone, still newest first.
+  receiver.handle(data(0));
+  EXPECT_EQ(starts(nic.acks.back()), newest_first);
+}
+
 TEST(Tcp, CleanTransferCompletes) {
   Harness h;
   h.transfer(1'000'000);
@@ -71,6 +114,26 @@ TEST(Tcp, CleanTransferCompletes) {
   EXPECT_EQ(h.sender->stats().timeouts, 0);
   EXPECT_EQ(h.receiver->rcv_nxt(), h.sender->snd_nxt());
 }
+
+#ifdef GREENCC_AUDIT
+TEST(Tcp, BackwardsReleaseTimeTripsTheMonotoneCheck) {
+  // A CPU work jitter above 1 (the scenario DSL rejects one) scales some
+  // work items negative, so the core's release times run backwards. The
+  // sender's release ring and RACK's transmit order are FIFOs only because
+  // they never do, and the audit build says so at the offending send.
+  check::ScopedFailureHandler guard(&check::throwing_failure_handler);
+  Harness h;
+  sim::Rng rng(1);
+  h.core.set_jitter(&rng, 5.0);
+  try {
+    h.transfer(1'000'000);
+    FAIL() << "a backwards release time went unnoticed";
+  } catch (const check::CheckFailedError& e) {
+    EXPECT_NE(e.info.message.find("runs backwards"), std::string::npos)
+        << e.info.to_string();
+  }
+}
+#endif
 
 TEST(Tcp, CompletionCallbackFiresOnce) {
   Harness h;
