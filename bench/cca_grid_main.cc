@@ -5,74 +5,37 @@
 // CSV stays byte-identical to the historical hand-written sweep (the
 // byte-identity suite pins this).
 //
-//   cca_grid --jobs 8 --repeats 3 --csv grid.csv \
+//   cca_grid --jobs 8 --repeats 3 --csv grid.csv
 //            --journal grid_journal.jsonl --deadline 120 --retries 2
 //
 // The sweep runs supervised: `--deadline SEC` and `--event-budget N` bound
 // each run, `--retries K` re-attempts throwing cells before quarantine,
 // `--journal FILE` appends each finished run crash-safely and `--resume`
 // replays it, re-running only what is missing. SIGINT/SIGTERM stop
-// dispatch, flush the journal and exit 75 (partial results). `--cache` is
-// accepted for CLI compatibility and ignored (the journal subsumes it).
+// dispatch, flush the journal and exit 75 (partial results). Figures 5-8
+// run the same sweep and share its default journal, cca_grid_journal.jsonl.
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "common.h"
 #include "robust/shutdown.h"
-#include "robust/subprocess.h"
 #include "scenario_dsl/doc.h"
-#include "scenario_dsl/runner.h"
-
-#ifndef GREENCC_SCENARIO_FILE
-#define GREENCC_SCENARIO_FILE "scenarios/cca_grid.toml"
-#endif
+#include "sweep.h"
 
 using namespace greencc;
 
 int main(int argc, char** argv) {
   robust::install_shutdown_handler();
 
-  dsl::RunOptions run;
-  run.overrides.push_back(
-      "flow.0.bytes=" +
-      std::to_string(bench::flag_i64(argc, argv, "--bytes",
-                                     bench::kDefaultBytes)));
-  run.repeats = static_cast<int>(bench::flag_i64(argc, argv, "--repeats", 3));
-  run.have_seed = true;
-  run.seed =
-      static_cast<std::uint64_t>(bench::flag_i64(argc, argv, "--seed", 1));
-  run.jobs = bench::flag_jobs(argc, argv);
-  run.audit = bench::flag_set(argc, argv, "--audit");
-  run.csv_path = bench::flag_str(argc, argv, "--csv", "cca_grid.csv");
-  run.cell_deadline_sec = bench::flag_double(argc, argv, "--deadline", 0.0);
-  run.event_budget = static_cast<std::uint64_t>(
-      bench::flag_i64(argc, argv, "--event-budget", 0));
-  run.max_attempts =
-      static_cast<int>(bench::flag_i64(argc, argv, "--retries", 0)) + 1;
-  run.journal_path = bench::flag_str(argc, argv, "--journal", "");
-  run.resume = bench::flag_set(argc, argv, "--resume");
-  if (run.resume && run.journal_path.empty()) {
-    run.journal_path = "cca_grid_journal.jsonl";
-  }
-  run.isolate_workers = bench::flag_isolate(argc, argv);
-  if (const std::string budget =
-          bench::flag_str(argc, argv, "--cell-mem-budget", "");
-      !budget.empty()) {
-    run.cell_mem_budget_bytes = robust::parse_mem_budget(budget);
-    if (run.cell_mem_budget_bytes < 0) {
-      std::fprintf(stderr, "error: bad --cell-mem-budget '%s'\n",
-                   budget.c_str());
-      return 2;
-    }
-  }
-  run.heartbeat_timeout_sec =
-      bench::flag_double(argc, argv, "--heartbeat", run.heartbeat_timeout_sec);
-  run.progress = true;
-  bench::flag_str(argc, argv, "--cache", "");  // accepted, ignored
+  const std::optional<dsl::RunOptions> run =
+      bench::sweep_run_options(argc, argv, units::Bytes{bench::kDefaultBytes},
+                               "cca_grid");
+  if (!run) return 2;
 
   const std::string scenario_file =
-      bench::flag_str(argc, argv, "--scenario", GREENCC_SCENARIO_FILE);
+      bench::flag_str(argc, argv, "--scenario", bench::kPaperGridFile);
 
   bench::print_header(
       "CCA x MTU measurement grid (shared by Figures 5-8)",
@@ -93,10 +56,10 @@ int main(int argc, char** argv) {
         axis.values = {{v}};
       }
     }
-    const dsl::SweepOutcome outcome = dsl::run_sweep(doc, run);
+    const dsl::SweepOutcome outcome = dsl::run_sweep(doc, *run);
     std::fprintf(stderr, "  %s\n", outcome.report.summary().c_str());
     std::printf("wrote %zu cells to %s (jobs=%d)\n", outcome.cells,
-                outcome.csv_path.c_str(), run.jobs);
+                outcome.csv_path.c_str(), run->jobs);
     return outcome.report.complete() ? 0 : robust::kPartialResultsExit;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "cca_grid: %s\n", e.what());

@@ -18,13 +18,13 @@
 //                         [--journal FILE] [--resume]
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "common.h"
 #include "robust/shutdown.h"
-#include "robust/subprocess.h"
 #include "scenario_dsl/doc.h"
-#include "scenario_dsl/runner.h"
+#include "sweep.h"
 
 #ifndef GREENCC_SCENARIO_FILE
 #define GREENCC_SCENARIO_FILE "scenarios/ext_energy_under_loss.toml"
@@ -35,44 +35,11 @@ using namespace greencc;
 int main(int argc, char** argv) {
   robust::install_shutdown_handler();
 
-  dsl::RunOptions run;
   // Loss stretches FCTs ~10x at the high end; the scenario's modest default
   // transfer keeps the full sweep minutes, not hours. --bytes scales it.
-  run.overrides.push_back(
-      "flow.0.bytes=" +
-      std::to_string(bench::flag_i64(argc, argv, "--bytes", 200'000'000)));
-  run.repeats = static_cast<int>(bench::flag_i64(argc, argv, "--repeats", 3));
-  run.have_seed = true;
-  run.seed =
-      static_cast<std::uint64_t>(bench::flag_i64(argc, argv, "--seed", 1));
-  run.jobs = bench::flag_jobs(argc, argv);
-  run.audit = bench::flag_set(argc, argv, "--audit");
-  run.csv_path =
-      bench::flag_str(argc, argv, "--csv", "ext_energy_under_loss.csv");
-  run.cell_deadline_sec = bench::flag_double(argc, argv, "--deadline", 0.0);
-  run.event_budget = static_cast<std::uint64_t>(
-      bench::flag_i64(argc, argv, "--event-budget", 0));
-  run.max_attempts =
-      static_cast<int>(bench::flag_i64(argc, argv, "--retries", 0)) + 1;
-  run.journal_path = bench::flag_str(argc, argv, "--journal", "");
-  run.resume = bench::flag_set(argc, argv, "--resume");
-  if (run.resume && run.journal_path.empty()) {
-    run.journal_path = "ext_energy_under_loss_journal.jsonl";
-  }
-  run.isolate_workers = bench::flag_isolate(argc, argv);
-  if (const std::string budget =
-          bench::flag_str(argc, argv, "--cell-mem-budget", "");
-      !budget.empty()) {
-    run.cell_mem_budget_bytes = robust::parse_mem_budget(budget);
-    if (run.cell_mem_budget_bytes < 0) {
-      std::fprintf(stderr, "error: bad --cell-mem-budget '%s'\n",
-                   budget.c_str());
-      return 2;
-    }
-  }
-  run.heartbeat_timeout_sec =
-      bench::flag_double(argc, argv, "--heartbeat", run.heartbeat_timeout_sec);
-  run.progress = true;
+  const std::optional<dsl::RunOptions> run = bench::sweep_run_options(
+      argc, argv, units::Bytes{200'000'000}, "ext_energy_under_loss");
+  if (!run) return 2;
 
   const std::string scenario_file =
       bench::flag_str(argc, argv, "--scenario", GREENCC_SCENARIO_FILE);
@@ -85,7 +52,7 @@ int main(int argc, char** argv) {
 
   try {
     const dsl::ScenarioDoc doc = dsl::load_scenario_file(scenario_file);
-    const dsl::SweepOutcome outcome = dsl::run_sweep(doc, run);
+    const dsl::SweepOutcome outcome = dsl::run_sweep(doc, *run);
     std::fprintf(stderr, "  %s\n", outcome.report.summary().c_str());
     std::printf(
         "wrote %zu cells to %s\n"

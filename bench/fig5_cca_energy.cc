@@ -5,35 +5,33 @@
 
 #include <cstdio>
 #include <iostream>
+#include <optional>
 
 #include "cca/cca.h"
-#include "cca_grid.h"
 #include "common.h"
 #include "core/efficiency.h"
 #include "robust/shutdown.h"
 #include "stats/table.h"
+#include "sweep.h"
 
 using namespace greencc;
 
 int main(int argc, char** argv) {
   robust::install_shutdown_handler();
-  bench::GridOptions options;
-  options.bytes = bench::flag_i64(argc, argv, "--bytes", bench::kDefaultBytes);
-  options.repeats =
-      static_cast<int>(bench::flag_i64(argc, argv, "--repeats", 3));
-  options.jobs = bench::flag_jobs(argc, argv);
-  options.cache_path =
-      bench::flag_str(argc, argv, "--cache", options.cache_path);
-  bench::apply_supervisor_flags(argc, argv, options);
+  const std::optional<dsl::RunOptions> run =
+      bench::sweep_run_options(argc, argv, units::Bytes{bench::kDefaultBytes},
+                               "cca_grid");
+  if (!run) return 2;
 
   bench::print_header(
       "Figure 5 — energy per CCA and MTU (50 GB-equivalent transfers)",
       "all CCAs except BBR2 use 8.2-14.2% less energy than the constant-cwnd "
       "baseline; BBR vs BBR2 differ ~40%; larger MTUs save 13.4-31.9%");
 
-  robust::SweepReport health;
-  const auto cells = bench::run_cca_grid(options, &health);
-  std::fprintf(stderr, "  %s\n", health.summary().c_str());
+  const std::optional<bench::PaperGrid> grid = bench::load_paper_grid(*run);
+  if (!grid) return 1;
+  const auto& [cells, mtus, health] = *grid;
+
   core::EfficiencyReport report;
   for (const auto& cell : cells) report.add(cell);
 
@@ -41,7 +39,7 @@ int main(int argc, char** argv) {
                       "mtu6000[kJ]", "sd[J]", "mtu9000[kJ]", "sd[J]"});
   for (const auto& name : cca::all_names()) {
     std::vector<std::string> row = {name};
-    for (int mtu : options.mtus) {
+    for (int mtu : mtus) {
       for (const auto& cell : cells) {
         if (cell.cca == name && cell.mtu_bytes == mtu) {
           row.push_back(stats::Table::num(cell.energy_joules / 1e3, 3));
@@ -60,11 +58,11 @@ int main(int argc, char** argv) {
   for (const auto& name : cca::all_names()) {
     if (name == "baseline") continue;
     double sum = 0.0;
-    for (int mtu : options.mtus) {
+    for (int mtu : mtus) {
       sum += report.savings_vs(name, "baseline", mtu);
     }
     std::printf("  %-10s %+6.2f%%\n", name.c_str(),
-                100.0 * sum / static_cast<double>(options.mtus.size()));
+                100.0 * sum / static_cast<double>(mtus.size()));
   }
 
   // --- §4.3: BBR vs BBR2 ---

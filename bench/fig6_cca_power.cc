@@ -6,35 +6,33 @@
 
 #include <cstdio>
 #include <iostream>
+#include <optional>
 
 #include "cca/cca.h"
-#include "cca_grid.h"
 #include "common.h"
 #include "core/efficiency.h"
 #include "robust/shutdown.h"
 #include "stats/table.h"
+#include "sweep.h"
 
 using namespace greencc;
 
 int main(int argc, char** argv) {
   robust::install_shutdown_handler();
-  bench::GridOptions options;
-  options.bytes = bench::flag_i64(argc, argv, "--bytes", bench::kDefaultBytes);
-  options.repeats =
-      static_cast<int>(bench::flag_i64(argc, argv, "--repeats", 3));
-  options.jobs = bench::flag_jobs(argc, argv);
-  options.cache_path =
-      bench::flag_str(argc, argv, "--cache", options.cache_path);
-  bench::apply_supervisor_flags(argc, argv, options);
+  const std::optional<dsl::RunOptions> run =
+      bench::sweep_run_options(argc, argv, units::Bytes{bench::kDefaultBytes},
+                               "cca_grid");
+  if (!run) return 2;
 
   bench::print_header(
       "Figure 6 — average power per CCA and MTU",
       "power ordering nearly inverts the energy ordering: "
       "corr(energy, power) ~ -0.8");
 
-  robust::SweepReport health;
-  const auto cells = bench::run_cca_grid(options, &health);
-  std::fprintf(stderr, "  %s\n", health.summary().c_str());
+  const std::optional<bench::PaperGrid> grid = bench::load_paper_grid(*run);
+  if (!grid) return 1;
+  const auto& [cells, mtus, health] = *grid;
+
   core::EfficiencyReport report;
   for (const auto& cell : cells) report.add(cell);
 
@@ -42,7 +40,7 @@ int main(int argc, char** argv) {
                       "mtu9000[W]"});
   for (const auto& name : cca::all_names()) {
     std::vector<std::string> row = {name};
-    for (int mtu : options.mtus) {
+    for (int mtu : mtus) {
       for (const auto& cell : cells) {
         if (cell.cca == name && cell.mtu_bytes == mtu) {
           row.push_back(stats::Table::num(cell.power_watts, 2));

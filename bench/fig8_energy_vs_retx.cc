@@ -9,34 +9,32 @@
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <optional>
 
-#include "cca_grid.h"
 #include "common.h"
 #include "core/efficiency.h"
 #include "robust/shutdown.h"
 #include "stats/table.h"
+#include "sweep.h"
 
 using namespace greencc;
 
 int main(int argc, char** argv) {
   robust::install_shutdown_handler();
-  bench::GridOptions options;
-  options.bytes = bench::flag_i64(argc, argv, "--bytes", bench::kDefaultBytes);
-  options.repeats =
-      static_cast<int>(bench::flag_i64(argc, argv, "--repeats", 3));
-  options.jobs = bench::flag_jobs(argc, argv);
-  options.cache_path =
-      bench::flag_str(argc, argv, "--cache", options.cache_path);
-  bench::apply_supervisor_flags(argc, argv, options);
+  const std::optional<dsl::RunOptions> run =
+      bench::sweep_run_options(argc, argv, units::Bytes{bench::kDefaultBytes},
+                               "cca_grid");
+  if (!run) return 2;
 
   bench::print_header(
       "Figure 8 — energy vs. retransmissions (50 GB equivalents)",
       "corr(energy, retx) ~ 0.47 excluding BBR2; the baseline has by far "
       "the most retransmissions and above-average energy");
 
-  robust::SweepReport health;
-  auto cells = bench::run_cca_grid(options, &health);
-  std::fprintf(stderr, "  %s\n", health.summary().c_str());
+  std::optional<bench::PaperGrid> grid = bench::load_paper_grid(*run);
+  if (!grid) return 1;
+  auto& [cells, mtus, health] = *grid;
+
   std::sort(cells.begin(), cells.end(), [](const auto& a, const auto& b) {
     return a.retransmissions < b.retransmissions;
   });
@@ -59,7 +57,7 @@ int main(int argc, char** argv) {
 
   // Baseline has the most retransmissions at every MTU.
   bool baseline_max = true;
-  for (int mtu : options.mtus) {
+  for (int mtu : mtus) {
     double base = 0.0, best_other = 0.0;
     for (const auto& cell : cells) {
       if (cell.mtu_bytes != mtu) continue;

@@ -9,10 +9,9 @@
 //              equality, so "same config" always means "same bytes in the
 //              canonical form" — there is no second, subtly different
 //              member-by-member notion to drift out of sync;
-//   hashing    config_hash() = FNV-1a over the canonical string. The grid
-//              cache and every sweep journal bind to this hash instead of
-//              hand-maintained ad-hoc strings that silently miss fields
-//              added later;
+//   hashing    config_hash() = FNV-1a over the canonical string. Every
+//              sweep journal binds to this hash instead of hand-maintained
+//              ad-hoc strings that silently miss fields added later;
 //   round-trip the scenario DSL's property test parses a file, compiles
 //              it, re-serializes the document, re-parses and re-compiles —
 //              and asserts the two canonical strings are identical.
@@ -42,7 +41,7 @@ std::string canonical_string(const ScenarioConfig& config);
 std::string canonical_string(const ScenarioConfig& config,
                              const std::vector<FlowSpec>& flows);
 
-/// FNV-1a 64-bit hash of the canonical string — the fingerprint caches and
+/// FNV-1a 64-bit hash of the canonical string — the fingerprint sweep
 /// journals bind to.
 std::uint64_t config_hash(const ScenarioConfig& config);
 std::uint64_t config_hash(const ScenarioConfig& config,

@@ -11,9 +11,9 @@
 // (base_seed, cell, repeat) and never from completion order, a resumed
 // sweep is bit-identical to an uninterrupted one.
 //
-// The payload is an opaque string chosen by the integration (the CCA grid
-// stores its aggregation inputs as %.17g text, which round-trips IEEE
-// doubles exactly). Torn tail lines — the only kind a crash can produce,
+// The payload is an opaque string chosen by the integration (the scenario
+// DSL runner stores each run's metric vector as %.17g text, which
+// round-trips IEEE doubles exactly). Torn tail lines — the only kind a crash can produce,
 // appends being sequential — fail to parse and are ignored on load; a
 // duplicated task line is resolved last-writer-wins, so replaying a
 // journal is idempotent.
@@ -25,8 +25,8 @@
 
 namespace greencc::robust {
 
-/// FNV-1a 64-bit — the sweep-config fingerprint carried in journal and
-/// grid-cache headers. Not cryptographic; collision risk is irrelevant at
+/// FNV-1a 64-bit — the sweep-config fingerprint carried in journal
+/// headers. Not cryptographic; collision risk is irrelevant at
 /// "did I rerun with different flags" scale.
 constexpr std::uint64_t fnv1a64(std::string_view s) {
   std::uint64_t hash = 14695981039346656037ULL;

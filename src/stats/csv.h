@@ -8,8 +8,8 @@
 // formatter owns the rendering. Two float renderings cover both legacy
 // bench CSV dialects byte-for-byte:
 //
-//   general(v, p)  ostream default-format at precision p (what
-//                  cca_grid_main's out.precision(12) produced)
+//   general(v, p)  ostream default-format at precision p (the legacy
+//                  grid CSV's out.precision(12))
 //   fixed(v, p)    printf "%.*f" (what Table::num produced)
 //
 // Quoting matches Table::write_csv: cells are quoted only when they

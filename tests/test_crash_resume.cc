@@ -2,20 +2,25 @@
 // separately SIGINTed) mid-flight, then resumed from its journal; the
 // resumed CSV must be byte-identical to an uninterrupted serial run, because
 // per-run seeds derive from (base_seed, cell, repeat) and journal payloads
-// round-trip doubles exactly (%.17g).
+// round-trip doubles exactly (%.17g). Figures 5-8 run the same sweep and
+// resume it from one shared journal, so a second figure re-simulates
+// nothing.
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -43,9 +48,11 @@ std::vector<std::string> grid_args(const std::string& csv_path) {
           csv_path};
 }
 
-/// fork/exec with stdout+stderr captured to `log_path`. No shell: empty
-/// arguments (--cache "") must survive verbatim.
-pid_t spawn(std::vector<std::string> args, const std::string& log_path) {
+/// fork/exec with stdout+stderr captured to `log_path`, in directory `cwd`
+/// when non-empty. No shell: empty arguments (--cache "") must survive
+/// verbatim.
+pid_t spawn(std::vector<std::string> args, const std::string& log_path,
+            const std::string& cwd = "") {
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
   for (auto& arg : args) argv.push_back(arg.data());
@@ -59,6 +66,7 @@ pid_t spawn(std::vector<std::string> args, const std::string& log_path) {
       ::dup2(fd, STDERR_FILENO);
       ::close(fd);
     }
+    if (!cwd.empty() && ::chdir(cwd.c_str()) != 0) _exit(127);
     ::execv(argv[0], argv.data());
     _exit(127);
   }
@@ -87,8 +95,8 @@ int wait_for_exit(pid_t pid, int timeout_sec) {
 }
 
 int run_sync(const std::vector<std::string>& args, const std::string& log_path,
-             int timeout_sec = 240) {
-  return wait_for_exit(spawn(args, log_path), timeout_sec);
+             const std::string& cwd = "", int timeout_sec = 240) {
+  return wait_for_exit(spawn(args, log_path, cwd), timeout_sec);
 }
 
 std::size_t journal_entries(const std::string& path) {
@@ -210,6 +218,96 @@ TEST(CrashResume, SigintFlushesJournalAndExitsPartial) {
   EXPECT_EQ(read_file(csv), reference_csv())
       << "resumed CSV differs from the uninterrupted serial run";
   std::remove(journal.c_str());
+}
+
+// Figures 5 and 6 in one fresh directory share the default journal
+// cca_grid_journal.jsonl: fig5 measures the grid, fig6 replays every run
+// and re-simulates nothing. Both read the grid back from the sweep CSV, so
+// fig5's table must be exactly what cca_grid's CSV at the same flags says.
+TEST(CrashResume, FiguresShareTheGridJournalAndMatchTheGridCsv) {
+  const std::string dir = temp_path("figures");
+  ::mkdir(dir.c_str(), 0755);
+  std::remove((dir + "/cca_grid_journal.jsonl").c_str());
+  const std::vector<std::string> flags = {"--bytes",   "2000000", "--repeats",
+                                          "2",         "--seed",  "7"};
+  auto figure = [&](const char* binary) {
+    std::vector<std::string> args = {binary};
+    args.insert(args.end(), flags.begin(), flags.end());
+    return args;
+  };
+
+  const std::string fig5_log = temp_path("figures_fig5.log");
+  const int fig5 = run_sync(figure(FIG5_PATH), fig5_log, dir);
+  ASSERT_TRUE(WIFEXITED(fig5) && WEXITSTATUS(fig5) == 0) << read_file(fig5_log);
+
+  const std::string fig6_log = temp_path("figures_fig6.log");
+  const int fig6 = run_sync(figure(FIG6_PATH), fig6_log, dir);
+  ASSERT_TRUE(WIFEXITED(fig6) && WEXITSTATUS(fig6) == 0) << read_file(fig6_log);
+
+  const std::string grid_csv = dir + "/grid.csv";
+  std::vector<std::string> grid = {CCA_GRID_PATH, "--csv", grid_csv};
+  grid.insert(grid.end(), flags.begin(), flags.end());
+  const std::string grid_log = temp_path("figures_grid.log");
+  const int grid_status = run_sync(grid, grid_log);
+  ASSERT_TRUE(WIFEXITED(grid_status) && WEXITSTATUS(grid_status) == 0)
+      << read_file(grid_log);
+  EXPECT_EQ(read_file(dir + "/cca_grid.csv"), read_file(grid_csv));
+
+  // The expected fig5.csv, rendered from cca_grid's CSV the way the figure
+  // renders its cells: kJ to 3 decimals and the stddev in J to 1.
+  std::ifstream in(grid_csv);
+  std::string line;
+  ASSERT_TRUE(static_cast<bool>(std::getline(in, line)));
+  std::vector<std::string> ccas, mtus;
+  std::map<std::pair<std::string, std::string>, std::string> energy;
+  std::size_t cells = 0;
+  while (std::getline(in, line)) {
+    std::vector<std::string> field;
+    std::stringstream row(line);
+    for (std::string f; std::getline(row, f, ',');) field.push_back(f);
+    ASSERT_EQ(field.size(), 7u) << line;
+    if (std::find(ccas.begin(), ccas.end(), field[0]) == ccas.end()) {
+      ccas.push_back(field[0]);
+    }
+    if (std::find(mtus.begin(), mtus.end(), field[1]) == mtus.end()) {
+      mtus.push_back(field[1]);
+    }
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.3f,%.1f",
+                  std::strtod(field[2].c_str(), nullptr) / 1e3,
+                  std::strtod(field[3].c_str(), nullptr));
+    energy[{field[0], field[1]}] = buf;
+    ++cells;
+  }
+  ASSERT_EQ(cells, 40u);
+  std::string expected = "cca";
+  for (const std::string& mtu : mtus) expected += ",mtu" + mtu + "[kJ],sd[J]";
+  expected += "\n";
+  for (const std::string& cca : ccas) {
+    expected += cca;
+    for (const std::string& mtu : mtus) expected += "," + energy[{cca, mtu}];
+    expected += "\n";
+  }
+  EXPECT_EQ(read_file(dir + "/fig5.csv"), expected);
+
+  const std::string log = read_file(fig6_log);
+  EXPECT_EQ(parse_summary_count(log, "ok="), 0) << log;
+  EXPECT_EQ(parse_summary_count(log, "resumed="), static_cast<int>(cells * 2))
+      << log;
+}
+
+// A malformed memory budget is a usage error on every sweep bench, the
+// figures included: exit 2 before anything runs.
+TEST(CrashResume, FigureRejectsMalformedMemBudget) {
+  const std::string dir = temp_path("bad_budget");
+  ::mkdir(dir.c_str(), 0755);
+  const std::string log = temp_path("bad_budget.log");
+  const int status = run_sync({FIG5_PATH, "--bytes", "2000000", "--repeats",
+                               "1", "--cell-mem-budget", "bogus"},
+                              log, dir);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2) << read_file(log);
+  EXPECT_NE(read_file(log).find("bad --cell-mem-budget"), std::string::npos);
 }
 
 }  // namespace
