@@ -14,7 +14,8 @@ namespace greencc::sim {
 /// FIFO ring buffer over a power-of-two `std::vector`.
 ///
 /// Backs the simulator's per-packet FIFOs: switch queues, a sender's release
-/// and transmit-order queues, and the SACK scoreboard via tcp::SeqWindow.
+/// and transmit-order queues, the SACK scoreboard via tcp::SeqWindow, and
+/// the scoreboard's index bitmaps via tcp::SeqBits.
 /// Not `std::deque`: libstdc++ gives each element of ~512 bytes or more its
 /// own heap node, so a queued packet would cost an allocation on push and
 /// a free on pop, and even an empty deque holds a map and a node. This ring
@@ -23,10 +24,13 @@ namespace greencc::sim {
 /// indexing from the front is one mask.
 ///
 /// The storage is freed when the ring drains. A fleet run holds several
-/// rings per flow (80k flows, most of them idle or finished at any
-/// instant); keeping each ring's high-water buffer instead raised the
-/// greenbench fleet workload's peak RSS from 292 to 375 MB, while a
-/// drained ring costs one allocation when it next fills.
+/// rings per flow in every sender (80k flows, most of them idle or
+/// finished at any instant); keeping each ring's high-water buffer instead
+/// raised the greenbench fleet workload's peak RSS from 292 to 375 MB,
+/// while a drained ring costs one allocation when it next fills. Per-flow
+/// queues that drain and refill at packet rate do not fit that trade:
+/// net::DrrPort keeps its flows' packets in one port-wide node pool
+/// instead of a ring per flow.
 template <typename T>
 class Ring {
  public:

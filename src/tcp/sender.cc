@@ -1,6 +1,7 @@
 #include "tcp/sender.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "check/check.h"
 
@@ -63,8 +64,12 @@ void TcpSender::maybe_send() {
       return;
     }
     if (!retx_queue_.empty()) {
-      const std::int64_t seq = *retx_queue_.begin();
-      retx_queue_.erase(retx_queue_.begin());
+      const std::int64_t seq = retx_queue_.next(snd_una_, snd_nxt_);
+      GREENCC_DCHECK(seq < snd_nxt_)
+          << "flow " << flow_ << ": retransmission queue holds "
+          << retx_queue_.size() << " segment(s) outside [snd_una " << snd_una_
+          << ", snd_nxt " << snd_nxt_ << ")";
+      retx_queue_.reset(seq);
       send_segment(seq, /*is_retx=*/true);
     } else {
       send_segment(snd_nxt_, /*is_retx=*/false);
@@ -125,7 +130,7 @@ void TcpSender::send_segment(std::int64_t seq, bool is_retx) {
   } else {
     seg.in_pipe = true;
     ++pipe_;
-    unsacked_.insert(seq);
+    unsacked_.set(seq);
   }
   GREENCC_DCHECK(pipe_ <= cwnd_hw_ + 1)
       << "flow " << flow_ << ": pipe " << pipe_
@@ -207,7 +212,6 @@ void TcpSender::process_ack(const net::Packet& ack) {
   // --- cumulative advance ---
   if (ack.ack_seq > snd_una_) {
     while (!scoreboard_.empty() && scoreboard_.begin_seq() < ack.ack_seq) {
-      const std::int64_t seq = scoreboard_.begin_seq();
       SegState& seg = scoreboard_.front();
       if (!seg.sacked) {
         ++newly_delivered;
@@ -219,10 +223,10 @@ void TcpSender::process_ack(const net::Packet& ack) {
       if (seg.in_pipe) --pipe_;
       if (seg.sacked) --sacked_out_;
       if (seg.lost) --lost_out_;
-      retx_queue_.erase(seq);
-      unsacked_.erase(seq);
       scoreboard_.pop_front();
     }
+    retx_queue_.erase_below(ack.ack_seq);
+    unsacked_.erase_below(ack.ack_seq);
     // Everything sent is acked, so every RACK record is stale: drop them
     // now rather than let an idle or finished flow keep the ring's storage.
     // RACK would skip them anyway, and the next record has a later send
@@ -235,17 +239,14 @@ void TcpSender::process_ack(const net::Packet& ack) {
         << sacked_out_ << ", lost_out " << lost_out_ << ")";
   }
 
-  // --- SACK blocks (via the unsacked index: O(newly sacked)) ---
+  // --- SACK blocks (via the unsacked index: O(block / 64 + newly sacked)) ---
   for (const auto& block : ack.sack) {
     if (block.empty()) continue;
-    for (auto it = unsacked_.lower_bound(block.start);
-         it != unsacked_.end() && *it < block.end;) {
-      const std::int64_t seq = *it;
+    for (std::int64_t seq = unsacked_.next(block.start, block.end);
+         seq < block.end; seq = unsacked_.next(seq + 1, block.end)) {
+      unsacked_.reset(seq);
       SegState* seg_ptr = scoreboard_.find(seq);
-      if (seg_ptr == nullptr) {
-        it = unsacked_.erase(it);  // stale (should not happen)
-        continue;
-      }
+      if (seg_ptr == nullptr) continue;  // stale (should not happen)
       SegState& seg = *seg_ptr;
       seg.sacked = true;
       ++sacked_out_;
@@ -253,7 +254,7 @@ void TcpSender::process_ack(const net::Packet& ack) {
       if (seg.lost) {
         seg.lost = false;
         --lost_out_;
-        retx_queue_.erase(seq);
+        retx_queue_.reset(seq);
       }
       if (seg.in_pipe) {
         seg.in_pipe = false;
@@ -264,7 +265,6 @@ void TcpSender::process_ack(const net::Packet& ack) {
       }
       rack_xmit_time_ = std::max(rack_xmit_time_, seg.sent_time);
       highest_sacked_ = std::max(highest_sacked_, seq);
-      it = unsacked_.erase(it);
     }
   }
 
@@ -354,7 +354,7 @@ void TcpSender::mark_lost(std::int64_t seq, SegState& seg) {
     seg.in_pipe = false;
     --pipe_;
   }
-  retx_queue_.insert(seq);
+  retx_queue_.set(seq);
 }
 
 std::int64_t TcpSender::detect_losses_rack() {
@@ -409,7 +409,8 @@ void TcpSender::on_rto() {
   }
 
   // Everything outstanding is presumed lost; retransmit in order.
-  for (std::int64_t seq : unsacked_) {
+  for (std::int64_t seq = unsacked_.next(snd_una_, snd_nxt_); seq < snd_nxt_;
+       seq = unsacked_.next(seq + 1, snd_nxt_)) {
     SegState& seg = scoreboard_.at(seq);
     if (seg.lost) continue;
     mark_lost(seq, seg);
@@ -438,15 +439,16 @@ void TcpSender::arm_rto() {
 void TcpSender::on_tlp() {
   if (completed_ || !tlp_allowed_) return;
   // Probe with the highest unsacked in-flight segment, if any.
-  for (auto it = unsacked_.rbegin(); it != unsacked_.rend(); ++it) {
-    const SegState* seg = scoreboard_.find(*it);
+  for (std::int64_t seq = unsacked_.prev(snd_nxt_); seq >= 0;
+       seq = unsacked_.prev(seq)) {
+    const SegState* seg = scoreboard_.find(seq);
     if (seg == nullptr || seg->lost) continue;
     tlp_allowed_ = false;
     if (trace_) {
       trace_->emit({sim_.now(), trace::EventClass::kTlp, flow_, kTraceSrc,
-                    *it, static_cast<double>(pipe_)});
+                    seq, static_cast<double>(pipe_)});
     }
-    send_segment(*it, /*is_retx=*/true);
+    send_segment(seq, /*is_retx=*/true);
     return;
   }
 }
@@ -507,9 +509,13 @@ void TcpSender::audit(std::vector<std::string>& problems) const {
                              std::to_string(seg.transmissions) +
                              " transmissions"));
     }
-    if (!seg.sacked && unsacked_.count(seq) == 0) {
+    if (!seg.sacked && !unsacked_.test(seq)) {
       problems.push_back(tag("unsacked segment " + std::to_string(seq) +
                              " missing from the unsacked index"));
+    }
+    if (seg.lost && !retx_queue_.test(seq)) {
+      problems.push_back(tag("lost segment " + std::to_string(seq) +
+                             " missing from the retransmission queue"));
     }
   }
   if (sacked != sacked_out_) {
@@ -528,8 +534,10 @@ void TcpSender::audit(std::vector<std::string>& problems) const {
                            " in_pipe flags on the scoreboard"));
   }
 
-  // Index sets point back into the scoreboard with the matching flags.
-  for (const std::int64_t seq : unsacked_) {
+  // Index bitmaps point back into the scoreboard with the matching flags.
+  constexpr std::int64_t kAll = std::numeric_limits<std::int64_t>::max();
+  for (std::int64_t seq = unsacked_.next(0, kAll); seq < kAll;
+       seq = unsacked_.next(seq + 1, kAll)) {
     const SegState* seg = scoreboard_.find(seq);
     if (seg == nullptr) {
       problems.push_back(tag("unsacked index holds " + std::to_string(seq) +
@@ -539,7 +547,8 @@ void TcpSender::audit(std::vector<std::string>& problems) const {
                              std::to_string(seq)));
     }
   }
-  for (const std::int64_t seq : retx_queue_) {
+  for (std::int64_t seq = retx_queue_.next(0, kAll); seq < kAll;
+       seq = retx_queue_.next(seq + 1, kAll)) {
     const SegState* seg = scoreboard_.find(seq);
     if (seg == nullptr) {
       problems.push_back(tag("retransmission queue holds " +

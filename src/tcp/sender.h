@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -14,6 +13,7 @@
 #include "sim/ring.h"
 #include "sim/simulator.h"
 #include "tcp/rtt.h"
+#include "tcp/seq_bits.h"
 #include "tcp/seq_window.h"
 #include "tcp/tcp_config.h"
 #include "trace/counters.h"
@@ -95,7 +95,7 @@ class TcpSender : public net::PacketHandler {
   const RttEstimator& rtt() const { return rtt_; }
 
   /// Re-derive the scoreboard's cached aggregates (pipe / sacked_out /
-  /// lost_out) from the per-segment flags, cross-check the index sets
+  /// lost_out) from the per-segment flags, cross-check the index bitmaps
   /// (unsacked, retransmission queue) against the scoreboard, and verify
   /// the sequence-space and in-flight bounds. Appends one line per
   /// discrepancy to `problems` (empty = healthy).
@@ -159,11 +159,15 @@ class TcpSender : public net::PacketHandler {
   /// scoreboard lives in a ring buffer instead of a node-per-segment map.
   SeqWindow<SegState> scoreboard_;
   /// Segments in the scoreboard that are not (yet) SACKed. SACK blocks can
-  /// span thousands of already-delivered segments; iterating this index
-  /// instead of the raw range keeps ACK processing O(newly-sacked), not
-  /// O(window) — essential for the baseline's 10k-segment pinned window.
-  std::set<std::int64_t> unsacked_;
-  std::set<std::int64_t> retx_queue_;            ///< lost, awaiting re-send
+  /// span thousands of already-delivered segments; scanning this bitmap a
+  /// word at a time instead of the raw range keeps ACK processing
+  /// O(block / 64 + newly sacked) — essential for the baseline's
+  /// 10k-segment pinned window.
+  SeqBits unsacked_;
+  /// Exactly the segments flagged lost: mark_lost adds them, and a SACK, a
+  /// cumulative ACK or the retransmission removes them. maybe_send re-sends
+  /// the lowest first.
+  SeqBits retx_queue_;
   /// Transmissions ordered by send time, for RACK: (xmit time, seq,
   /// transmission number). Entries are lazily discarded when stale. Send
   /// times are CPU release times, which never decrease (the core

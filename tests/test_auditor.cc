@@ -44,10 +44,11 @@ struct AuditCorruptor {
     p.transmitting_ = false;
   }
   static void set_negative_deficit(net::DrrPort& d, net::FlowId flow) {
-    d.flows_.at(flow).deficit = units::Bytes{-5};
+    d.flows_[*d.slots_.find(flow)].deficit = units::Bytes{-5};
   }
-  static void push_unknown_active_flow(net::DrrPort& d, net::FlowId flow) {
-    d.active_.push_back(flow);
+  /// Links a slot that no flow owns into the active ring.
+  static void link_unknown_active_slot(net::DrrPort& d) {
+    d.head_ = static_cast<std::uint32_t>(d.flows_.size());
   }
   static void forge_unroutable(net::Switch& sw) { ++sw.unroutable_; }
   static void forge_sacked_out(tcp::TcpSender& s) { ++s.sacked_out_; }
@@ -293,7 +294,7 @@ TEST(Auditor, FiresOnNegativeDrrDeficit) {
 TEST(Auditor, FiresOnUnknownFlowInDrrRound) {
   Simulator sim;
   net::DrrPort drr(sim, "drr0", net::DrrPort::Config{}, nullptr);
-  AuditCorruptor::push_unknown_active_flow(drr, 42);
+  AuditCorruptor::link_unknown_active_slot(drr);
 
   InvariantAuditor auditor;
   auditor.watch_drr("drr0", &drr);

@@ -61,13 +61,22 @@ def read_budget(path: pathlib.Path) -> dict:
     return budget
 
 
+HEADER = [
+    "# lint-allow budget: max escape-hatch comments per lint rule.",
+    "# Maintained by tools/lint/lint_allow_ratchet.py --write-budget.",
+    "# Counts may only go DOWN; raising one requires an explicit edit",
+    "# here, defended in review.",
+]
+
+
 def write_budget(path: pathlib.Path, counts: dict) -> None:
-    lines = [
-        "# lint-allow budget: max escape-hatch comments per lint rule.",
-        "# Maintained by tools/lint/lint_allow_ratchet.py --write-budget.",
-        "# Counts may only go DOWN; raising one requires an explicit edit",
-        "# here, defended in review.",
-    ]
+    """Rewrite the counts, keeping every comment line of an existing budget
+    (the header and the defences of past raises) in its original order."""
+    if path.is_file():
+        lines = [raw for raw in path.read_text().splitlines()
+                 if raw.lstrip().startswith("#")]
+    else:
+        lines = list(HEADER)
     for rule in sorted(counts):
         lines.append(f"{rule} {counts[rule]}")
     path.write_text("\n".join(lines) + "\n")

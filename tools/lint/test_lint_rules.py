@@ -14,10 +14,12 @@ success, 1 with per-case diagnostics on failure. Registered as the
 
 import pathlib
 import sys
+import tempfile
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
+import lint_allow_ratchet  # noqa: E402
 import nondeterminism_lint  # noqa: E402
 import unit_suffix_lint  # noqa: E402
 
@@ -69,6 +71,32 @@ outside = nondeterminism_lint.lint_file(
     TESTDATA / "const_cast.cc.bad", pathlib.Path("src/tcp/fixture.cc"))
 check("const-cast silent outside src/sim/",
       "const-cast" not in nd_rules(outside), f"(fired: {nd_rules(outside)})")
+
+# --- lint-allow ratchet: --write-budget keeps the budget's comment lines ---
+
+with tempfile.TemporaryDirectory() as tmp:
+    budget = pathlib.Path(tmp) / "lint_allow_budget.txt"
+    budget.write_text(
+        "# header line\n"
+        "# wall-clock 1 -> 3: defended raise\n"
+        "float-eq 4\n"
+        "wall-clock 3\n")
+    lint_allow_ratchet.write_budget(budget, {"float-eq": 2, "wall-clock": 3})
+    written = budget.read_text().splitlines()
+    check("ratchet --write-budget keeps comment lines",
+          written[:2] == ["# header line",
+                          "# wall-clock 1 -> 3: defended raise"],
+          f"(got {written})")
+    check("ratchet --write-budget rewrites the counts",
+          lint_allow_ratchet.read_budget(budget) ==
+          {"float-eq": 2, "wall-clock": 3},
+          f"(got {written})")
+    fresh = pathlib.Path(tmp) / "fresh.txt"
+    lint_allow_ratchet.write_budget(fresh, {"float-eq": 1})
+    check("ratchet --write-budget starts a new budget with the header",
+          fresh.read_text().splitlines() ==
+          lint_allow_ratchet.HEADER + ["float-eq 1"],
+          f"(got {fresh.read_text()!r})")
 
 # --- the real tree must be clean right now (guards against regex rot that
 # *widens* a rule and floods the build with false positives) ---
