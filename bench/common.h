@@ -5,6 +5,8 @@
 // to 2 GB simulated and report 50 GB equivalents, which is exact at steady
 // state because energy and completion time are linear in bytes there).
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -13,10 +15,33 @@
 
 namespace greencc::bench {
 
+/// Exits 2 with the flag named: a bench must not run a silently different
+/// experiment because a value did not parse.
+[[noreturn]] inline void bad_flag_value(const char* name, const char* text,
+                                        const char* expected) {
+  std::fprintf(stderr, "bad value for %s: '%s' (expected %s)\n", name, text,
+               expected);
+  std::exit(2);
+}
+
+/// Integer flag. The whole token must parse; exponent notation is accepted
+/// for whole numbers ("--bytes 5e7"), as greencc_run's --bytes does.
 inline std::int64_t flag_i64(int argc, char** argv, const char* name,
                              std::int64_t fallback) {
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atoll(argv[i + 1]);
+    if (std::strcmp(argv[i], name) != 0) continue;
+    const char* text = argv[i + 1];
+    char* end = nullptr;
+    errno = 0;
+    const long long exact = std::strtoll(text, &end, 10);
+    if (end != text && *end == '\0' && errno != ERANGE) return exact;
+    const double value = std::strtod(text, &end);
+    // 2^63 is the first double past the int64 range.
+    if (end == text || *end != '\0' || !std::isfinite(value) ||
+        std::trunc(value) != value || std::fabs(value) >= 0x1p63) {
+      bad_flag_value(name, text, "a whole number");
+    }
+    return static_cast<std::int64_t>(value);
   }
   return fallback;
 }
@@ -24,7 +49,12 @@ inline std::int64_t flag_i64(int argc, char** argv, const char* name,
 inline double flag_double(int argc, char** argv, const char* name,
                           double fallback) {
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
+    if (std::strcmp(argv[i], name) != 0) continue;
+    const char* text = argv[i + 1];
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0') bad_flag_value(name, text, "a number");
+    return value;
   }
   return fallback;
 }

@@ -1,5 +1,6 @@
 #include "net/drr.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "check/check.h"
@@ -246,15 +247,14 @@ void DrrPort::start_transmission() {
   // packets while the deficit covers them. A flow that empties leaves the
   // round (and forfeits its deficit); a flow whose deficit is exhausted
   // keeps the remainder for its next visit.
-  int safety = 100'000;  // progress is guaranteed; this guards regressions
-  while (head_ != kNil) {
-    --safety;
-    GREENCC_CHECK(safety > 0)
-        << "DrrPort " << name_ << ": scheduler failed to make progress, "
-        << "round cursor at slot " << current_ << ", total backlog "
-        << total_queued_bytes().count() << " bytes";
-    if (safety <= 0) break;
-    if (current_ == kNil) current_ = head_;
+  if (head_ == kNil) {
+    transmitting_ = false;
+    return;
+  }
+  if (current_ == kNil) current_ = head_;
+  const std::uint32_t lap_start = current_;
+  bool skipped = false;
+  for (;;) {
     FlowState& state = flows_[current_];
     GREENCC_DCHECK(state.queued_packets > 0)
         << "DrrPort " << name_ << ": flow " << state.flow
@@ -284,10 +284,40 @@ void DrrPort::start_transmission() {
     }
 
     // Deficit exhausted for this visit: move on, keeping the remainder.
-    current_ = state.next == head_ ? kNil : state.next;
+    // Nothing leaves or joins the round inside this loop, so the walk may
+    // wrap to the head directly instead of parking the cursor past the end.
+    current_ = state.next;
     topped_up_ = false;
+    if (current_ == lap_start) {
+      // A whole lap sent nothing. After one skip the next lap must send.
+      GREENCC_CHECK(!skipped)
+          << "DrrPort " << name_ << ": scheduler failed to make progress, "
+          << "round cursor at slot " << current_ << ", total backlog "
+          << total_queued_bytes().count() << " bytes";
+      skip_fruitless_laps();
+      skipped = true;
+    }
   }
-  transmitting_ = false;
+}
+
+void DrrPort::skip_fruitless_laps() {
+  // Flow i first covers its head packet after need_i more top-ups; no flow
+  // sends during the min(need) - 1 laps before that, so credit them at once.
+  std::int64_t laps = std::numeric_limits<std::int64_t>::max();
+  std::uint32_t slot = head_;
+  do {
+    const FlowState& state = flows_[slot];
+    const std::int64_t short_by =
+        (pool_[state.head].pkt.size_bytes - state.deficit).count();
+    const std::int64_t quantum = state.quantum.count();
+    laps = std::min(laps, (short_by + quantum - 1) / quantum);
+    slot = state.next;
+  } while (slot != head_);
+  do {
+    FlowState& state = flows_[slot];
+    state.deficit += state.quantum * (laps - 1);
+    slot = state.next;
+  } while (slot != head_);
 }
 
 void DrrPort::on_serialized() {

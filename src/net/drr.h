@@ -103,6 +103,11 @@ class DrrPort : public PacketHandler {
   /// successor, or past the end when it was the last flow.
   void leave_round();
   void start_transmission();
+  /// Called when a whole lap of the round sent nothing (every deficit is
+  /// short of its head packet): adds the quanta of the further laps that
+  /// would send nothing either, so a quantum far below the packet size costs
+  /// O(flows) per transmission instead of O(flows * packet / quantum).
+  void skip_fruitless_laps();
   /// Serialization of `serializing_` finished: launch it down the wire and
   /// pick the next packet.
   void on_serialized();

@@ -21,10 +21,6 @@ app::FlowSpec to_spec(const FlowDoc& flow) {
 std::vector<app::FlowSpec> expand_counts(const ScenarioDoc& doc) {
   std::vector<app::FlowSpec> specs;
   for (const FlowDoc& flow : doc.flows) {
-    if (flow.count < 1) {
-      throw ParseError(0, "flow.count must be >= 1, got " +
-                              std::to_string(flow.count));
-    }
     for (int i = 0; i < flow.count; ++i) specs.push_back(to_spec(flow));
   }
   return specs;
@@ -37,10 +33,6 @@ std::vector<app::FlowSpec> lower_flows(const ScenarioDoc& doc) {
       return expand_counts(doc);
 
     case TopologyKind::kIncast: {
-      if (topo.fan_in < 1) {
-        throw ParseError(0, "topology.fan_in must be >= 1, got " +
-                                std::to_string(topo.fan_in));
-      }
       app::FlowSpec prototype = to_spec(doc.flows.front());
       if (topo.aggregate.count() > 0) {
         prototype.bytes = units::Bytes{topo.aggregate.count() / topo.fan_in};
@@ -59,10 +51,6 @@ std::vector<app::FlowSpec> lower_flows(const ScenarioDoc& doc) {
     }
 
     case TopologyKind::kParkingLot: {
-      if (topo.hops < 1) {
-        throw ParseError(0, "topology.hops must be >= 1, got " +
-                                std::to_string(topo.hops));
-      }
       std::vector<app::FlowSpec> specs;
       specs.push_back(to_spec(doc.flows.front()));
       const FlowDoc& cross_template =

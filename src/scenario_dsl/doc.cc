@@ -1,26 +1,16 @@
 #include "scenario_dsl/doc.h"
 
-#include <cmath>
 #include <fstream>
 #include <set>
 #include <sstream>
 
 #include "cca/cca.h"
+#include "scenario_dsl/keys.h"
 #include "scenario_dsl/sweep.h"
 
 namespace greencc::dsl {
 
 namespace {
-
-bool is_identifier(const std::string& s) {
-  if (s.empty()) return false;
-  for (const char c : s) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-                    c == '_' || c == '-';
-    if (!ok) return false;
-  }
-  return true;
-}
 
 /// Tracks which keys of one table the schema consumed; finish() turns any
 /// leftover into a line-accurate unknown-key error.
@@ -50,343 +40,39 @@ class TableReader {
   std::set<std::string> consumed_;
 };
 
-/// Numeric prefix + suffix split for unit strings ("2.5Gbps" -> 2.5,
-/// "Gbps"). Returns false when there is no leading number.
-bool split_unit(const std::string& text, double* value,
-                std::string* suffix) {
-  const char* start = text.c_str();
-  char* end = nullptr;
-  *value = std::strtod(start, &end);
-  if (end == start) return false;
-  *suffix = std::string(end);
-  return true;
+/// Reads the key-table keys of `section` present in `t` into `doc` (flow
+/// keys into doc.flows[flow]), in table order.
+void read_keys(const TomlValue& t, std::string_view section, ScenarioDoc& doc,
+               std::size_t flow = 0) {
+  std::string label;
+  for (const KeySpec& key : scenario_keys()) {
+    if (key.section != section) continue;
+    const auto it = t.table.find(key.name);
+    if (it == t.table.end()) continue;
+    label.assign(section).append(".").append(key.name);
+    set_key(key, doc, flow, it->second, label);
+  }
 }
 
-[[noreturn]] void unit_error(const TomlValue& v, const std::string& key,
-                             const std::string& expected) {
-  std::string got;
-  if (v.is_string()) {
-    got = "'" + v.str + "'";
-  } else {
-    got = v.kind_name();
-  }
-  throw ParseError(v.line, key + ": expected " + expected + ", got " + got);
-}
-
-}  // namespace
-
-void require_known_cca(const std::string& name, int line) {
-  for (const std::string& known : cca::all_names()) {
-    if (name == known) return;
-  }
-  for (const std::string& known : cca::datacenter_names()) {
-    if (name == known) return;
-  }
-  throw ParseError(line, "unknown congestion control algorithm '" + name +
-                             "'");
-}
-
-const char* to_string(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::kDumbbell: return "dumbbell";
-    case TopologyKind::kParkingLot: return "parking_lot";
-    case TopologyKind::kIncast: return "incast";
-    case TopologyKind::kFatTreePod: return "fat_tree_pod";
-    case TopologyKind::kWorkload: return "workload";
-  }
-  return "dumbbell";
-}
-
-std::string value_as_string(const TomlValue& v, const std::string& key) {
-  if (!v.is_string()) {
-    throw ParseError(v.line, key + ": expected a string, got " +
-                                 std::string(v.kind_name()));
-  }
-  return v.str;
-}
-
-bool value_as_bool(const TomlValue& v, const std::string& key) {
-  if (!v.is_bool()) {
-    throw ParseError(v.line, key + ": expected true or false, got " +
-                                 std::string(v.kind_name()));
-  }
-  return v.boolean;
-}
-
-std::int64_t value_as_int(const TomlValue& v, const std::string& key) {
-  if (!v.is_int()) {
-    throw ParseError(v.line, key + ": expected an integer, got " +
-                                 std::string(v.kind_name()));
-  }
-  return v.integer;
-}
-
-double value_as_double(const TomlValue& v, const std::string& key) {
-  if (!v.is_number()) {
-    throw ParseError(v.line, key + ": expected a number, got " +
-                                 std::string(v.kind_name()));
-  }
-  return v.as_number();
-}
-
-double value_as_work_jitter(const TomlValue& v, const std::string& key) {
-  const double jitter = value_as_double(v, key);
-  if (!(jitter >= 0.0 && jitter <= 1.0)) {
-    throw ParseError(v.line, key + " must be in [0, 1]");
-  }
-  return jitter;
-}
-
-units::Bytes value_as_size(const TomlValue& v, const std::string& key) {
-  if (v.is_int()) return units::Bytes{v.integer};
-  if (v.is_string()) {
-    double value = 0.0;
-    std::string suffix;
-    if (split_unit(v.str, &value, &suffix)) {
-      double mult = -1.0;
-      if (suffix == "B") mult = 1.0;
-      else if (suffix == "kB" || suffix == "KB") mult = 1e3;
-      else if (suffix == "MB") mult = 1e6;
-      else if (suffix == "GB") mult = 1e9;
-      else if (suffix == "TB") mult = 1e12;
-      else if (suffix == "KiB") mult = 1024.0;
-      else if (suffix == "MiB") mult = 1024.0 * 1024.0;
-      else if (suffix == "GiB") mult = 1024.0 * 1024.0 * 1024.0;
-      if (mult > 0.0) {
-        return units::Bytes{std::llround(value * mult)};
-      }
+/// Throws for the first key of `t`, in name order, that is neither a
+/// key-table key of `section` nor `structural`.
+void reject_unknown(const TomlValue& t, std::string_view section,
+                    const std::string& where,
+                    const char* structural = nullptr) {
+  for (const auto& [name, value] : t.table) {
+    const bool known = find_key(section, name) != nullptr ||
+                       (structural != nullptr && name == structural);
+    if (!known) {
+      throw ParseError(value.line, "unknown key '" + name + "' in " + where);
     }
   }
-  unit_error(v, key,
-             "a size like \"2GB\" (suffix B/kB/MB/GB/TB/KiB/MiB/GiB) or an "
-             "integer byte count");
 }
 
-units::BitRate value_as_rate(const TomlValue& v, const std::string& key) {
-  if (v.is_string()) {
-    double value = 0.0;
-    std::string suffix;
-    if (split_unit(v.str, &value, &suffix)) {
-      // Each suffix maps onto the same units:: factory hand-written
-      // configs use, so "10Gbps" is bit-for-bit units::BitRate::gbps(10).
-      if (suffix == "bps") return units::BitRate::bps(value);
-      if (suffix == "kbps") return units::BitRate::kbps(value);
-      if (suffix == "Mbps") return units::BitRate::mbps(value);
-      if (suffix == "Gbps") return units::BitRate::gbps(value);
-    }
-  }
-  unit_error(v, key, "a rate like \"10Gbps\" (suffix bps/kbps/Mbps/Gbps)");
-}
-
-sim::SimTime value_as_time(const TomlValue& v, const std::string& key) {
-  if (v.is_string()) {
-    double value = 0.0;
-    std::string suffix;
-    if (split_unit(v.str, &value, &suffix)) {
-      double mult = -1.0;  // nanoseconds per unit
-      if (suffix == "ns") mult = 1.0;
-      else if (suffix == "us") mult = 1e3;
-      else if (suffix == "ms") mult = 1e6;
-      else if (suffix == "s") mult = 1e9;
-      if (mult > 0.0) {
-        return sim::SimTime::nanoseconds(std::llround(value * mult));
-      }
-    }
-  }
-  unit_error(v, key, "a time like \"5us\" (suffix ns/us/ms/s)");
-}
-
-namespace {
-
-void parse_scenario_section(const TomlValue& t, ScenarioDoc& doc) {
-  TableReader r(t, "[scenario]");
-  if (const TomlValue* v = r.find("name")) {
-    doc.name = value_as_string(*v, "scenario.name");
-    if (!is_identifier(doc.name)) {
-      throw ParseError(v->line,
-                       "scenario.name must be lowercase letters, digits, "
-                       "'_' or '-', got '" +
-                           doc.name + "'");
-    }
-  }
-  if (const TomlValue* v = r.find("description")) {
-    doc.description = value_as_string(*v, "scenario.description");
-  }
-  if (const TomlValue* v = r.find("seed")) {
-    const std::int64_t s = value_as_int(*v, "scenario.seed");
-    if (s < 0) throw ParseError(v->line, "scenario.seed must be >= 0");
-    doc.seed = static_cast<std::uint64_t>(s);
-  }
-  if (const TomlValue* v = r.find("repeats")) {
-    doc.repeats = static_cast<int>(value_as_int(*v, "scenario.repeats"));
-    if (doc.repeats < 1) {
-      throw ParseError(v->line, "scenario.repeats must be >= 1");
-    }
-  }
-  if (const TomlValue* v = r.find("deadline")) {
-    doc.deadline = value_as_time(*v, "scenario.deadline");
-    if (doc.deadline <= sim::SimTime::zero()) {
-      throw ParseError(v->line, "scenario.deadline must be > 0");
-    }
-  }
-  if (const TomlValue* v = r.find("work_jitter")) {
-    doc.work_jitter = value_as_work_jitter(*v, "scenario.work_jitter");
-  }
-  if (const TomlValue* v = r.find("meter_receiver")) {
-    doc.meter_receiver = value_as_bool(*v, "scenario.meter_receiver");
-  }
-  if (const TomlValue* v = r.find("stress_cores")) {
-    doc.stress_cores =
-        static_cast<int>(value_as_int(*v, "scenario.stress_cores"));
-  }
-  if (const TomlValue* v = r.find("audit_interval")) {
-    doc.audit_interval = value_as_time(*v, "scenario.audit_interval");
-  }
-  r.finish();
-}
-
-void parse_topology_section(const TomlValue& t, ScenarioDoc& doc) {
-  TableReader r(t, "[topology]");
-  TopologyDoc& topo = doc.topology;
-  if (const TomlValue* v = r.find("kind")) {
-    const std::string kind = value_as_string(*v, "topology.kind");
-    if (kind == "dumbbell") topo.kind = TopologyKind::kDumbbell;
-    else if (kind == "parking_lot") topo.kind = TopologyKind::kParkingLot;
-    else if (kind == "incast") topo.kind = TopologyKind::kIncast;
-    else if (kind == "fat_tree_pod") topo.kind = TopologyKind::kFatTreePod;
-    else if (kind == "workload") topo.kind = TopologyKind::kWorkload;
-    else {
-      throw ParseError(v->line,
-                       "topology.kind must be one of dumbbell, parking_lot, "
-                       "incast, fat_tree_pod, workload; got '" +
-                           kind + "'");
-    }
-  }
-  if (const TomlValue* v = r.find("bottleneck")) {
-    topo.bottleneck = value_as_rate(*v, "topology.bottleneck");
-  }
-  if (const TomlValue* v = r.find("link_delay")) {
-    topo.link_delay = value_as_time(*v, "topology.link_delay");
-  }
-  if (const TomlValue* v = r.find("queue")) {
-    topo.queue = value_as_size(*v, "topology.queue");
-  }
-  if (const TomlValue* v = r.find("ecn_threshold")) {
-    topo.ecn_threshold = value_as_size(*v, "topology.ecn_threshold");
-  }
-  if (const TomlValue* v = r.find("nic_ports")) {
-    topo.nic_ports = static_cast<int>(value_as_int(*v, "topology.nic_ports"));
-  }
-  if (const TomlValue* v = r.find("drr")) {
-    topo.drr = value_as_bool(*v, "topology.drr");
-  }
-  if (const TomlValue* v = r.find("fan_in")) {
-    topo.fan_in = static_cast<int>(value_as_int(*v, "topology.fan_in"));
-    if (topo.fan_in < 1) {
-      throw ParseError(v->line, "topology.fan_in must be >= 1");
-    }
-  }
-  if (const TomlValue* v = r.find("aggregate")) {
-    topo.aggregate = value_as_size(*v, "topology.aggregate");
-  }
-  if (const TomlValue* v = r.find("hops")) {
-    topo.hops = static_cast<int>(value_as_int(*v, "topology.hops"));
-    if (topo.hops < 1) throw ParseError(v->line, "topology.hops must be >= 1");
-  }
-  if (const TomlValue* v = r.find("cross_bytes")) {
-    topo.cross_bytes = value_as_size(*v, "topology.cross_bytes");
-  }
-  if (const TomlValue* v = r.find("stagger")) {
-    topo.stagger = value_as_time(*v, "topology.stagger");
-  }
-  if (const TomlValue* v = r.find("racks")) {
-    topo.racks = static_cast<int>(value_as_int(*v, "topology.racks"));
-    if (topo.racks < 1) throw ParseError(v->line, "topology.racks must be >= 1");
-  }
-  if (const TomlValue* v = r.find("hosts_per_rack")) {
-    topo.hosts_per_rack =
-        static_cast<int>(value_as_int(*v, "topology.hosts_per_rack"));
-    if (topo.hosts_per_rack < 1) {
-      throw ParseError(v->line, "topology.hosts_per_rack must be >= 1");
-    }
-  }
-  r.finish();
-}
-
-void parse_tcp_section(const TomlValue& t, ScenarioDoc& doc) {
-  TableReader r(t, "[tcp]");
-  tcp::TcpConfig& cfg = doc.tcp;
-  if (const TomlValue* v = r.find("mtu")) {
-    cfg.mtu_bytes = value_as_size(*v, "tcp.mtu");
-  }
-  if (const TomlValue* v = r.find("header")) {
-    cfg.header_bytes = value_as_size(*v, "tcp.header");
-  }
-  if (const TomlValue* v = r.find("ack")) {
-    cfg.ack_bytes = value_as_size(*v, "tcp.ack");
-  }
-  if (const TomlValue* v = r.find("min_rto")) {
-    cfg.min_rto = value_as_time(*v, "tcp.min_rto");
-  }
-  if (const TomlValue* v = r.find("max_rto")) {
-    cfg.max_rto = value_as_time(*v, "tcp.max_rto");
-  }
-  if (const TomlValue* v = r.find("dupack_threshold")) {
-    cfg.dupack_threshold =
-        static_cast<int>(value_as_int(*v, "tcp.dupack_threshold"));
-  }
-  if (const TomlValue* v = r.find("delack_segments")) {
-    cfg.delack_segments =
-        static_cast<int>(value_as_int(*v, "tcp.delack_segments"));
-  }
-  if (const TomlValue* v = r.find("delack_timeout")) {
-    cfg.delack_timeout = value_as_time(*v, "tcp.delack_timeout");
-  }
-  if (const TomlValue* v = r.find("initial_cwnd")) {
-    cfg.initial_cwnd = value_as_int(*v, "tcp.initial_cwnd");
-  }
-  r.finish();
-}
-
-void parse_aqm_section(const TomlValue& t, ScenarioDoc& doc) {
-  TableReader r(t, "[aqm]");
-  net::AqmConfig& aqm = doc.aqm;
-  if (const TomlValue* v = r.find("mode")) {
-    const std::string mode = value_as_string(*v, "aqm.mode");
-    if (mode == "none") aqm.mode = net::AqmMode::kNone;
-    else if (mode == "step") aqm.mode = net::AqmMode::kStepEcn;
-    else if (mode == "red") aqm.mode = net::AqmMode::kRed;
-    else if (mode == "codel") aqm.mode = net::AqmMode::kCodel;
-    else {
-      throw ParseError(v->line,
-                       "aqm.mode must be one of none, step, red, codel; "
-                       "got '" +
-                           mode + "'");
-    }
-  }
-  if (const TomlValue* v = r.find("step_threshold")) {
-    aqm.step_threshold_bytes = value_as_size(*v, "aqm.step_threshold");
-  }
-  if (const TomlValue* v = r.find("red_min")) {
-    aqm.red_min_bytes = value_as_size(*v, "aqm.red_min");
-  }
-  if (const TomlValue* v = r.find("red_max")) {
-    aqm.red_max_bytes = value_as_size(*v, "aqm.red_max");
-  }
-  if (const TomlValue* v = r.find("red_max_probability")) {
-    aqm.red_max_probability =
-        value_as_double(*v, "aqm.red_max_probability");
-  }
-  if (const TomlValue* v = r.find("red_weight")) {
-    aqm.red_weight = value_as_double(*v, "aqm.red_weight");
-  }
-  if (const TomlValue* v = r.find("codel_target")) {
-    aqm.codel_target = value_as_time(*v, "aqm.codel_target");
-  }
-  if (const TomlValue* v = r.find("codel_interval")) {
-    aqm.codel_interval = value_as_time(*v, "aqm.codel_interval");
-  }
-  r.finish();
+void read_section(const TomlValue& t, std::string_view section,
+                  const std::string& where, ScenarioDoc& doc,
+                  std::size_t flow = 0) {
+  read_keys(t, section, doc, flow);
+  reject_unknown(t, section, where);
 }
 
 fault::FaultEvent parse_fault_event(const TomlValue& v) {
@@ -432,201 +118,14 @@ fault::FaultEvent parse_fault_event(const TomlValue& v) {
   return event;
 }
 
-void parse_faults_section(const TomlValue& t, ScenarioDoc& doc) {
-  TableReader r(t, "[faults]");
-  fault::FaultPlan& plan = doc.faults;
-  plan.install = true;  // writing a [faults] section means "use it"
-  if (const TomlValue* v = r.find("install")) {
-    plan.install = value_as_bool(*v, "faults.install");
+void parse_fault_events(const TomlValue& v, fault::FaultPlan& plan) {
+  if (!v.is_array()) {
+    throw ParseError(v.line, "faults.events: expected an array of "
+                             "\"<what>@<time>\" strings");
   }
-  if (const TomlValue* v = r.find("loss")) {
-    plan.impair.loss_rate = value_as_double(*v, "faults.loss");
+  for (const TomlValue& entry : v.array) {
+    plan.schedule.add(parse_fault_event(entry));
   }
-  if (const TomlValue* v = r.find("ge_p_bad")) {
-    plan.impair.ge_p_bad = value_as_double(*v, "faults.ge_p_bad");
-  }
-  if (const TomlValue* v = r.find("ge_p_good")) {
-    plan.impair.ge_p_good = value_as_double(*v, "faults.ge_p_good");
-  }
-  if (const TomlValue* v = r.find("ge_loss_bad")) {
-    plan.impair.ge_loss_bad = value_as_double(*v, "faults.ge_loss_bad");
-  }
-  if (const TomlValue* v = r.find("corrupt")) {
-    plan.impair.corrupt_rate = value_as_double(*v, "faults.corrupt");
-  }
-  if (const TomlValue* v = r.find("reorder")) {
-    plan.impair.reorder_rate = value_as_double(*v, "faults.reorder");
-  }
-  if (const TomlValue* v = r.find("reorder_delay")) {
-    plan.impair.reorder_delay = value_as_time(*v, "faults.reorder_delay");
-  }
-  if (const TomlValue* v = r.find("duplicate")) {
-    plan.impair.duplicate_rate = value_as_double(*v, "faults.duplicate");
-  }
-  if (const TomlValue* v = r.find("jitter")) {
-    plan.impair.jitter_max = value_as_time(*v, "faults.jitter");
-  }
-  if (const TomlValue* v = r.find("seed")) {
-    const std::int64_t s = value_as_int(*v, "faults.seed");
-    if (s < 0) throw ParseError(v->line, "faults.seed must be >= 0");
-    plan.impair.seed = static_cast<std::uint64_t>(s);
-  }
-  if (const TomlValue* v = r.find("events")) {
-    if (!v->is_array()) {
-      throw ParseError(v->line, "faults.events: expected an array of "
-                                "\"<what>@<time>\" strings");
-    }
-    for (const TomlValue& entry : v->array) {
-      plan.schedule.add(parse_fault_event(entry));
-    }
-  }
-  r.finish();
-}
-
-void parse_energy_section(const TomlValue& t, ScenarioDoc& doc) {
-  TableReader r(t, "[energy]");
-  energy::PowerCalibration& p = doc.energy.power;
-  if (const TomlValue* v = r.find("idle")) {
-    p.idle_watts = units::Power::watts(value_as_double(*v, "energy.idle"));
-  }
-  if (const TomlValue* v = r.find("net_amplitude")) {
-    p.net_amplitude_watts =
-        units::Power::watts(value_as_double(*v, "energy.net_amplitude"));
-  }
-  if (const TomlValue* v = r.find("net_util_scale")) {
-    p.net_util_scale = value_as_double(*v, "energy.net_util_scale");
-  }
-  if (const TomlValue* v = r.find("omega")) {
-    p.omega_watts_per_pps = value_as_double(*v, "energy.omega");
-  }
-  if (const TomlValue* v = r.find("stress_core")) {
-    p.stress_core_watts =
-        units::Power::watts(value_as_double(*v, "energy.stress_core"));
-  }
-  if (const TomlValue* v = r.find("chi")) {
-    p.chi_watts_per_gbps = value_as_double(*v, "energy.chi");
-  }
-  if (const TomlValue* v = r.find("total_cores")) {
-    p.total_cores = static_cast<int>(value_as_int(*v, "energy.total_cores"));
-  }
-  if (const TomlValue* work = r.find("work")) {
-    if (!work->is_table()) {
-      throw ParseError(work->line, "[energy.work] must be a table");
-    }
-    TableReader wr(*work, "[energy.work]");
-    energy::WorkCalibration& w = doc.energy.work;
-    if (const TomlValue* v = wr.find("pkt_ns")) {
-      w.pkt_ns = value_as_double(*v, "energy.work.pkt_ns");
-    }
-    if (const TomlValue* v = wr.find("byte_ns")) {
-      w.byte_ns = value_as_double(*v, "energy.work.byte_ns");
-    }
-    if (const TomlValue* v = wr.find("ack_ns")) {
-      w.ack_ns = value_as_double(*v, "energy.work.ack_ns");
-    }
-    if (const TomlValue* v = wr.find("retx_ns")) {
-      w.retx_ns = value_as_double(*v, "energy.work.retx_ns");
-    }
-    if (const TomlValue* v = wr.find("timeout_ns")) {
-      w.timeout_ns = value_as_double(*v, "energy.work.timeout_ns");
-    }
-    if (const TomlValue* v = wr.find("rx_pkt_ns")) {
-      w.rx_pkt_ns = value_as_double(*v, "energy.work.rx_pkt_ns");
-    }
-    if (const TomlValue* v = wr.find("rx_byte_ns")) {
-      w.rx_byte_ns = value_as_double(*v, "energy.work.rx_byte_ns");
-    }
-    if (const TomlValue* v = wr.find("rx_drop_ns")) {
-      w.rx_drop_ns = value_as_double(*v, "energy.work.rx_drop_ns");
-    }
-    if (const TomlValue* v = wr.find("rx_backlog")) {
-      w.rx_backlog_packets =
-          static_cast<int>(value_as_int(*v, "energy.work.rx_backlog"));
-    }
-    wr.finish();
-  }
-  r.finish();
-}
-
-FlowDoc parse_flow_entry(const TomlValue& t, int index) {
-  const std::string section = "[[flow]] #" + std::to_string(index);
-  TableReader r(t, section);
-  FlowDoc flow;
-  if (const TomlValue* v = r.find("cca")) {
-    flow.cca = value_as_string(*v, "flow.cca");
-    require_known_cca(flow.cca, v->line);
-  }
-  if (const TomlValue* v = r.find("bytes")) {
-    flow.bytes = value_as_size(*v, "flow.bytes");
-    if (flow.bytes.count() <= 0) {
-      throw ParseError(v->line, "flow.bytes must be > 0");
-    }
-  }
-  if (const TomlValue* v = r.find("rate_limit")) {
-    flow.rate_limit = value_as_rate(*v, "flow.rate_limit");
-  }
-  if (const TomlValue* v = r.find("start")) {
-    flow.start = value_as_time(*v, "flow.start");
-  }
-  if (const TomlValue* v = r.find("weight")) {
-    flow.weight = value_as_double(*v, "flow.weight");
-    if (flow.weight <= 0.0) {
-      throw ParseError(v->line, "flow.weight must be > 0");
-    }
-  }
-  if (const TomlValue* v = r.find("host")) {
-    flow.host = static_cast<int>(value_as_int(*v, "flow.host"));
-  }
-  if (const TomlValue* v = r.find("start_after")) {
-    flow.start_after = static_cast<int>(value_as_int(*v, "flow.start_after"));
-  }
-  if (const TomlValue* v = r.find("unlimit_after")) {
-    flow.unlimit_after =
-        static_cast<int>(value_as_int(*v, "flow.unlimit_after"));
-  }
-  if (const TomlValue* v = r.find("count")) {
-    flow.count = static_cast<int>(value_as_int(*v, "flow.count"));
-    if (flow.count < 1) throw ParseError(v->line, "flow.count must be >= 1");
-  }
-  r.finish();
-  return flow;
-}
-
-void parse_workload_section(const TomlValue& t, ScenarioDoc& doc) {
-  TableReader r(t, "[workload]");
-  WorkloadDoc& wl = doc.workload;
-  if (const TomlValue* v = r.find("cca")) {
-    wl.cca = value_as_string(*v, "workload.cca");
-    require_known_cca(wl.cca, v->line);
-  }
-  if (const TomlValue* v = r.find("load")) {
-    wl.load = value_as_double(*v, "workload.load");
-    if (wl.load <= 0.0) {
-      throw ParseError(v->line, "workload.load must be > 0");
-    }
-  }
-  if (const TomlValue* v = r.find("sizes")) {
-    wl.sizes = value_as_string(*v, "workload.sizes");
-    const bool known = wl.sizes == "websearch" || wl.sizes == "datamining" ||
-                       wl.sizes.rfind("fixed:", 0) == 0;
-    if (!known) {
-      throw ParseError(v->line,
-                       "workload.sizes must be websearch, datamining or "
-                       "fixed:<bytes>; got '" +
-                           wl.sizes + "'");
-    }
-  }
-  if (const TomlValue* v = r.find("hosts")) {
-    wl.hosts = static_cast<int>(value_as_int(*v, "workload.hosts"));
-    if (wl.hosts < 1) throw ParseError(v->line, "workload.hosts must be >= 1");
-  }
-  if (const TomlValue* v = r.find("horizon")) {
-    wl.horizon = value_as_time(*v, "workload.horizon");
-    if (wl.horizon <= sim::SimTime::zero()) {
-      throw ParseError(v->line, "workload.horizon must be > 0");
-    }
-  }
-  r.finish();
 }
 
 /// A scalar axis value: string/int/float/bool only.
@@ -961,27 +460,42 @@ ScenarioDoc parse_scenario_text(std::string_view text,
     doc.source_file = filename;
 
     TableReader r(root, "the top level");
-    if (const TomlValue* v = r.find("scenario")) {
-      parse_scenario_section(*v, doc);
+    for (const char* section : {"scenario", "topology", "tcp", "aqm"}) {
+      if (const TomlValue* v = r.find(section)) {
+        read_section(*v, section, "[" + std::string(section) + "]", doc);
+      }
     }
-    if (const TomlValue* v = r.find("topology")) {
-      parse_topology_section(*v, doc);
+    if (const TomlValue* v = r.find("faults")) {
+      doc.faults.install = true;  // writing a [faults] section means "use it"
+      read_keys(*v, "faults", doc);
+      if (const auto it = v->table.find("events"); it != v->table.end()) {
+        parse_fault_events(it->second, doc.faults);
+      }
+      reject_unknown(*v, "faults", "[faults]", "events");
     }
-    if (const TomlValue* v = r.find("tcp")) parse_tcp_section(*v, doc);
-    if (const TomlValue* v = r.find("aqm")) parse_aqm_section(*v, doc);
-    if (const TomlValue* v = r.find("faults")) parse_faults_section(*v, doc);
-    if (const TomlValue* v = r.find("energy")) parse_energy_section(*v, doc);
+    if (const TomlValue* v = r.find("energy")) {
+      read_keys(*v, "energy", doc);
+      if (const auto it = v->table.find("work"); it != v->table.end()) {
+        if (!it->second.is_table()) {
+          throw ParseError(it->second.line, "[energy.work] must be a table");
+        }
+        read_section(it->second, "energy.work", "[energy.work]", doc);
+      }
+      reject_unknown(*v, "energy", "[energy]", "work");
+    }
     if (const TomlValue* v = r.find("flow")) {
       if (!v->is_array()) {
         throw ParseError(v->line, "[[flow]] must be an array of tables");
       }
-      int index = 0;
       for (const TomlValue& entry : v->array) {
-        doc.flows.push_back(parse_flow_entry(entry, index++));
+        const std::size_t index = doc.flows.size();
+        doc.flows.emplace_back();
+        read_section(entry, "flow", "[[flow]] #" + std::to_string(index), doc,
+                     index);
       }
     }
     if (const TomlValue* v = r.find("workload")) {
-      parse_workload_section(*v, doc);
+      read_section(*v, "workload", "[workload]", doc);
     }
     if (const TomlValue* v = r.find("sweep")) {
       if (!v->is_table()) {

@@ -5,10 +5,11 @@
 // A ScenarioDoc is the validated, fully-defaulted in-memory form of one
 // .toml scenario file. Parsing is strict — every key must be known, every
 // value must have the right type and unit suffix, and violations carry the
-// exact source line ("file.toml:12: unknown key 'mtuu' in [tcp]"). The
-// document is a plain value: sweep expansion copies it per cell and
-// mutates fields through apply_binding() (sweep.h), then compile.cc lowers
-// it onto app::ScenarioBuilder / app::WorkloadBuilder.
+// exact source line ("file.toml:12: unknown key 'mtuu' in [tcp]"). Every
+// scalar key is declared once, in the key table (keys.h). The document is
+// a plain value: sweep expansion copies it per cell and mutates fields
+// through apply_binding() (sweep.h), then compile.cc lowers it onto
+// app::ScenarioBuilder / app::WorkloadBuilder.
 //
 // Grammar reference: DESIGN.md §13.
 
@@ -52,7 +53,6 @@ enum class TopologyKind {
   kFatTreePod,  ///< racks x hosts_per_rack senders sharing the pod uplink
   kWorkload,    ///< open-loop Poisson arrivals (app::run_workload)
 };
-const char* to_string(TopologyKind kind);
 
 struct TopologyDoc {
   TopologyKind kind = TopologyKind::kDumbbell;
@@ -160,37 +160,6 @@ ScenarioDoc parse_scenario_text(std::string_view text,
 /// Reads `path` and parses it. Throws DslError (file read errors use
 /// line 0).
 ScenarioDoc load_scenario_file(const std::string& path);
-
-// ---------------------------------------------------------------------------
-// Typed value conversion, shared by the schema layer and sweep bindings.
-// All throw ParseError (line-accurate); parse_scenario_text converts those
-// into DslError with the file name attached.
-
-std::string value_as_string(const TomlValue& v, const std::string& key);
-bool value_as_bool(const TomlValue& v, const std::string& key);
-std::int64_t value_as_int(const TomlValue& v, const std::string& key);
-double value_as_double(const TomlValue& v, const std::string& key);
-
-/// CPU work jitter amplitude: a number in [0, 1]. Each work item is scaled
-/// by 1 + jitter * U(-1, 1), so above 1 a packet could be charged negative
-/// work and the core's release times would run backwards.
-double value_as_work_jitter(const TomlValue& v, const std::string& key);
-
-/// Bytes: a bare integer is bytes; strings take a suffix out of
-/// B, kB, MB, GB, TB (decimal) or KiB, MiB, GiB (binary): "2GB", "64kB".
-units::Bytes value_as_size(const TomlValue& v, const std::string& key);
-
-/// Rates require a suffix out of bps, kbps, Mbps, Gbps: "10Gbps". A bare
-/// number is rejected (no silently-ambiguous units).
-units::BitRate value_as_rate(const TomlValue& v, const std::string& key);
-
-/// Times require a suffix out of ns, us, ms, s: "5us", "1.5s".
-sim::SimTime value_as_time(const TomlValue& v, const std::string& key);
-
-/// Throws ParseError(line) unless `name` is in the CCA registry. Scenario
-/// files are validated data — a typo'd algorithm name is a schema error at
-/// --validate time, not a quarantined cell at hour three of a pack run.
-void require_known_cca(const std::string& name, int line);
 
 /// True for metric names the runner aggregates (runner.cc owns the list).
 bool is_known_metric(const std::string& name);

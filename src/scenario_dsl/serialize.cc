@@ -3,6 +3,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
+#include <variant>
+
+#include "scenario_dsl/keys.h"
 
 namespace greencc::dsl {
 
@@ -48,20 +52,57 @@ std::string fmt_scalar(const TomlValue& v) {
   return "\"\"";
 }
 
-void emit_faults(std::ostringstream& out, const fault::FaultPlan& plan) {
-  out << "\n[faults]\n";
-  out << "install = " << (plan.install ? "true" : "false") << "\n";
-  const fault::ImpairmentConfig& imp = plan.impair;
-  out << "loss = " << fmt_double(imp.loss_rate) << "\n";
-  out << "ge_p_bad = " << fmt_double(imp.ge_p_bad) << "\n";
-  out << "ge_p_good = " << fmt_double(imp.ge_p_good) << "\n";
-  out << "ge_loss_bad = " << fmt_double(imp.ge_loss_bad) << "\n";
-  out << "corrupt = " << fmt_double(imp.corrupt_rate) << "\n";
-  out << "reorder = " << fmt_double(imp.reorder_rate) << "\n";
-  out << "reorder_delay = " << fmt_time(imp.reorder_delay) << "\n";
-  out << "duplicate = " << fmt_double(imp.duplicate_rate) << "\n";
-  out << "jitter = " << fmt_time(imp.jitter_max) << "\n";
-  out << "seed = " << imp.seed << "\n";
+/// One key's value in canonical form.
+std::string key_text(const KeySpec& key, const FieldRef& field) {
+  switch (key.kind) {
+    case ValueKind::kSize: return fmt_size(*std::get<units::Bytes*>(field));
+    case ValueKind::kRate: return fmt_rate(*std::get<units::BitRate*>(field));
+    case ValueKind::kTime: return fmt_time(*std::get<sim::SimTime*>(field));
+    case ValueKind::kInt:
+      if (int* const* small = std::get_if<int*>(&field)) {
+        return std::to_string(**small);
+      }
+      if (std::uint64_t* const* seed = std::get_if<std::uint64_t*>(&field)) {
+        return std::to_string(**seed);
+      }
+      return std::to_string(*std::get<std::int64_t*>(field));
+    case ValueKind::kDouble:
+      if (units::Power* const* watts = std::get_if<units::Power*>(&field)) {
+        return fmt_double((*watts)->watts());
+      }
+      return fmt_double(*std::get<double*>(field));
+    case ValueKind::kBool: return *std::get<bool*>(field) ? "true" : "false";
+    case ValueKind::kString:
+    case ValueKind::kCca: return quoted(*std::get<std::string*>(field));
+    case ValueKind::kEnum: {
+      const TopologyKind* const* kind = std::get_if<TopologyKind*>(&field);
+      const auto index =
+          kind != nullptr ? static_cast<std::size_t>(**kind)
+                          : static_cast<std::size_t>(
+                                *std::get<net::AqmMode*>(field));
+      return quoted(std::string(key.choices[index]));
+    }
+  }
+  return "\"\"";
+}
+
+/// Writes every key of `section`. A string key is left out when empty
+/// (only the optional scenario.description can be).
+void emit_keys(std::ostringstream& out, std::string_view section,
+               ScenarioDoc& doc, std::size_t flow = 0) {
+  for (const KeySpec& key : scenario_keys()) {
+    if (key.section != section) continue;
+    const FieldRef field = key.field(doc, flow);
+    if (key.kind == ValueKind::kString &&
+        std::get<std::string*>(field)->empty()) {
+      continue;
+    }
+    out << key.name << " = " << key_text(key, field) << "\n";
+  }
+}
+
+void emit_fault_events(std::ostringstream& out,
+                       const fault::FaultPlan& plan) {
   out << "events = [";
   bool first = true;
   for (const fault::FaultEvent& ev : plan.schedule.events()) {
@@ -83,120 +124,32 @@ void emit_faults(std::ostringstream& out, const fault::FaultPlan& plan) {
   out << "]\n";
 }
 
-const char* aqm_mode_name(net::AqmMode mode) {
-  switch (mode) {
-    case net::AqmMode::kNone: return "none";
-    case net::AqmMode::kStepEcn: return "step";
-    case net::AqmMode::kRed: return "red";
-    case net::AqmMode::kCodel: return "codel";
-  }
-  return "none";
-}
-
 }  // namespace
 
 std::string serialize_scenario(const ScenarioDoc& doc) {
+  // The key table's field accessors take a mutable document; this walk
+  // only reads through them.
+  ScenarioDoc& fields = const_cast<ScenarioDoc&>(doc);
   std::ostringstream out;
-
-  out << "[scenario]\n";
-  out << "name = " << quoted(doc.name) << "\n";
-  if (!doc.description.empty()) {
-    out << "description = " << quoted(doc.description) << "\n";
+  const char* const sections[] = {"scenario", "topology", "tcp",
+                                  "aqm",      "faults",   "energy",
+                                  "energy.work"};
+  for (const char* section : sections) {
+    if (section != sections[0]) out << "\n";
+    out << "[" << section << "]\n";
+    emit_keys(out, section, fields);
+    if (std::string_view(section) == "faults") {
+      emit_fault_events(out, doc.faults);
+    }
   }
-  out << "seed = " << doc.seed << "\n";
-  out << "repeats = " << doc.repeats << "\n";
-  out << "deadline = " << fmt_time(doc.deadline) << "\n";
-  out << "work_jitter = " << fmt_double(doc.work_jitter) << "\n";
-  out << "meter_receiver = " << (doc.meter_receiver ? "true" : "false")
-      << "\n";
-  out << "stress_cores = " << doc.stress_cores << "\n";
-  out << "audit_interval = " << fmt_time(doc.audit_interval) << "\n";
 
-  const TopologyDoc& topo = doc.topology;
-  out << "\n[topology]\n";
-  out << "kind = " << quoted(to_string(topo.kind)) << "\n";
-  out << "bottleneck = " << fmt_rate(topo.bottleneck) << "\n";
-  out << "link_delay = " << fmt_time(topo.link_delay) << "\n";
-  out << "queue = " << fmt_size(topo.queue) << "\n";
-  out << "ecn_threshold = " << fmt_size(topo.ecn_threshold) << "\n";
-  out << "nic_ports = " << topo.nic_ports << "\n";
-  out << "drr = " << (topo.drr ? "true" : "false") << "\n";
-  out << "fan_in = " << topo.fan_in << "\n";
-  out << "aggregate = " << fmt_size(topo.aggregate) << "\n";
-  out << "hops = " << topo.hops << "\n";
-  out << "cross_bytes = " << fmt_size(topo.cross_bytes) << "\n";
-  out << "stagger = " << fmt_time(topo.stagger) << "\n";
-  out << "racks = " << topo.racks << "\n";
-  out << "hosts_per_rack = " << topo.hosts_per_rack << "\n";
-
-  const tcp::TcpConfig& tcp = doc.tcp;
-  out << "\n[tcp]\n";
-  out << "mtu = " << fmt_size(tcp.mtu_bytes) << "\n";
-  out << "header = " << fmt_size(tcp.header_bytes) << "\n";
-  out << "ack = " << fmt_size(tcp.ack_bytes) << "\n";
-  out << "min_rto = " << fmt_time(tcp.min_rto) << "\n";
-  out << "max_rto = " << fmt_time(tcp.max_rto) << "\n";
-  out << "dupack_threshold = " << tcp.dupack_threshold << "\n";
-  out << "delack_segments = " << tcp.delack_segments << "\n";
-  out << "delack_timeout = " << fmt_time(tcp.delack_timeout) << "\n";
-  out << "initial_cwnd = " << tcp.initial_cwnd << "\n";
-
-  const net::AqmConfig& aqm = doc.aqm;
-  out << "\n[aqm]\n";
-  out << "mode = " << quoted(aqm_mode_name(aqm.mode)) << "\n";
-  out << "step_threshold = " << fmt_size(aqm.step_threshold_bytes) << "\n";
-  out << "red_min = " << fmt_size(aqm.red_min_bytes) << "\n";
-  out << "red_max = " << fmt_size(aqm.red_max_bytes) << "\n";
-  out << "red_max_probability = " << fmt_double(aqm.red_max_probability)
-      << "\n";
-  out << "red_weight = " << fmt_double(aqm.red_weight) << "\n";
-  out << "codel_target = " << fmt_time(aqm.codel_target) << "\n";
-  out << "codel_interval = " << fmt_time(aqm.codel_interval) << "\n";
-
-  emit_faults(out, doc.faults);
-
-  const energy::PowerCalibration& p = doc.energy.power;
-  const energy::WorkCalibration& w = doc.energy.work;
-  out << "\n[energy]\n";
-  out << "idle = " << fmt_double(p.idle_watts.watts()) << "\n";
-  out << "net_amplitude = " << fmt_double(p.net_amplitude_watts.watts())
-      << "\n";
-  out << "net_util_scale = " << fmt_double(p.net_util_scale) << "\n";
-  out << "omega = " << fmt_double(p.omega_watts_per_pps) << "\n";
-  out << "stress_core = " << fmt_double(p.stress_core_watts.watts()) << "\n";
-  out << "chi = " << fmt_double(p.chi_watts_per_gbps) << "\n";
-  out << "total_cores = " << p.total_cores << "\n";
-  out << "\n[energy.work]\n";
-  out << "pkt_ns = " << fmt_double(w.pkt_ns) << "\n";
-  out << "byte_ns = " << fmt_double(w.byte_ns) << "\n";
-  out << "ack_ns = " << fmt_double(w.ack_ns) << "\n";
-  out << "retx_ns = " << fmt_double(w.retx_ns) << "\n";
-  out << "timeout_ns = " << fmt_double(w.timeout_ns) << "\n";
-  out << "rx_pkt_ns = " << fmt_double(w.rx_pkt_ns) << "\n";
-  out << "rx_byte_ns = " << fmt_double(w.rx_byte_ns) << "\n";
-  out << "rx_drop_ns = " << fmt_double(w.rx_drop_ns) << "\n";
-  out << "rx_backlog = " << w.rx_backlog_packets << "\n";
-
-  if (topo.kind == TopologyKind::kWorkload) {
-    const WorkloadDoc& wl = doc.workload;
+  if (doc.topology.kind == TopologyKind::kWorkload) {
     out << "\n[workload]\n";
-    out << "cca = " << quoted(wl.cca) << "\n";
-    out << "load = " << fmt_double(wl.load) << "\n";
-    out << "sizes = " << quoted(wl.sizes) << "\n";
-    out << "hosts = " << wl.hosts << "\n";
-    out << "horizon = " << fmt_time(wl.horizon) << "\n";
+    emit_keys(out, "workload", fields);
   } else {
-    for (const FlowDoc& flow : doc.flows) {
+    for (std::size_t flow = 0; flow < doc.flows.size(); ++flow) {
       out << "\n[[flow]]\n";
-      out << "cca = " << quoted(flow.cca) << "\n";
-      out << "bytes = " << fmt_size(flow.bytes) << "\n";
-      out << "rate_limit = " << fmt_rate(flow.rate_limit) << "\n";
-      out << "start = " << fmt_time(flow.start) << "\n";
-      out << "weight = " << fmt_double(flow.weight) << "\n";
-      out << "host = " << flow.host << "\n";
-      out << "start_after = " << flow.start_after << "\n";
-      out << "unlimit_after = " << flow.unlimit_after << "\n";
-      out << "count = " << flow.count << "\n";
+      emit_keys(out, "flow", fields, flow);
     }
   }
 

@@ -1,298 +1,98 @@
 #include "scenario_dsl/sweep.h"
 
 #include <cstdlib>
+#include <string_view>
+
+#include "scenario_dsl/keys.h"
 
 namespace greencc::dsl {
 
 namespace {
 
-std::vector<std::string> split_path(const std::string& path) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (const char c : path) {
-    if (c == '.') {
-      parts.push_back(current);
-      current.clear();
-    } else {
-      current += c;
+/// A sweep path split at its dots. Bindable paths have two parts
+/// ("tcp.mtu") or three ("flow.0.bytes", "energy.work.pkt_ns"); `size` is
+/// 0 for anything longer.
+struct PathParts {
+  std::string_view part[3];
+  std::size_t size = 0;
+};
+
+PathParts split_path(std::string_view path) {
+  PathParts out;
+  for (std::size_t n = 0; n < 3; ++n) {
+    const std::size_t dot = path.find('.');
+    out.part[n] = path.substr(0, dot);
+    if (dot == std::string_view::npos) {
+      out.size = n + 1;
+      return out;
     }
+    path.remove_prefix(dot + 1);
   }
-  parts.push_back(current);
-  return parts;
+  return out;  // more than three parts
 }
 
 [[noreturn]] void unknown_path(const std::string& path, int line) {
   throw ParseError(line, "unknown sweep path '" + path + "'");
 }
 
-void set_flow_field(FlowDoc& flow, const std::string& field,
-                    const TomlValue& v, const std::string& path) {
-  if (field == "cca") {
-    flow.cca = value_as_string(v, path);
-    require_known_cca(flow.cca, v.line);
-  } else if (field == "bytes") flow.bytes = value_as_size(v, path);
-  else if (field == "rate_limit") flow.rate_limit = value_as_rate(v, path);
-  else if (field == "start") flow.start = value_as_time(v, path);
-  else if (field == "weight") flow.weight = value_as_double(v, path);
-  else if (field == "host") {
-    flow.host = static_cast<int>(value_as_int(v, path));
-  } else if (field == "start_after") {
-    flow.start_after = static_cast<int>(value_as_int(v, path));
-  } else if (field == "unlimit_after") {
-    flow.unlimit_after = static_cast<int>(value_as_int(v, path));
-  } else if (field == "count") {
-    flow.count = static_cast<int>(value_as_int(v, path));
-  } else {
-    unknown_path(path, v.line);
-  }
-}
-
-void set_scenario_field(ScenarioDoc& doc, const std::string& field,
-                        const TomlValue& v, const std::string& path) {
-  if (field == "stress_cores") {
-    doc.stress_cores = static_cast<int>(value_as_int(v, path));
-  } else if (field == "work_jitter") {
-    doc.work_jitter = value_as_work_jitter(v, path);
-  } else if (field == "meter_receiver") {
-    doc.meter_receiver = value_as_bool(v, path);
-  } else if (field == "deadline") {
-    doc.deadline = value_as_time(v, path);
-  } else if (field == "audit_interval") {
-    doc.audit_interval = value_as_time(v, path);
-  } else {
-    unknown_path(path, v.line);
-  }
-}
-
-void set_topology_field(ScenarioDoc& doc, const std::string& field,
-                        const TomlValue& v, const std::string& path) {
-  TopologyDoc& topo = doc.topology;
-  if (field == "bottleneck") topo.bottleneck = value_as_rate(v, path);
-  else if (field == "link_delay") topo.link_delay = value_as_time(v, path);
-  else if (field == "queue") topo.queue = value_as_size(v, path);
-  else if (field == "ecn_threshold") {
-    topo.ecn_threshold = value_as_size(v, path);
-  } else if (field == "nic_ports") {
-    topo.nic_ports = static_cast<int>(value_as_int(v, path));
-  } else if (field == "drr") {
-    topo.drr = value_as_bool(v, path);
-  } else if (field == "fan_in") {
-    topo.fan_in = static_cast<int>(value_as_int(v, path));
-  } else if (field == "aggregate") {
-    topo.aggregate = value_as_size(v, path);
-  } else if (field == "hops") {
-    topo.hops = static_cast<int>(value_as_int(v, path));
-  } else if (field == "cross_bytes") {
-    topo.cross_bytes = value_as_size(v, path);
-  } else if (field == "stagger") {
-    topo.stagger = value_as_time(v, path);
-  } else if (field == "racks") {
-    topo.racks = static_cast<int>(value_as_int(v, path));
-  } else if (field == "hosts_per_rack") {
-    topo.hosts_per_rack = static_cast<int>(value_as_int(v, path));
-  } else {
-    unknown_path(path, v.line);
-  }
-}
-
-void set_tcp_field(ScenarioDoc& doc, const std::string& field,
-                   const TomlValue& v, const std::string& path) {
-  tcp::TcpConfig& cfg = doc.tcp;
-  if (field == "mtu") cfg.mtu_bytes = value_as_size(v, path);
-  else if (field == "header") cfg.header_bytes = value_as_size(v, path);
-  else if (field == "ack") cfg.ack_bytes = value_as_size(v, path);
-  else if (field == "min_rto") cfg.min_rto = value_as_time(v, path);
-  else if (field == "max_rto") cfg.max_rto = value_as_time(v, path);
-  else if (field == "dupack_threshold") {
-    cfg.dupack_threshold = static_cast<int>(value_as_int(v, path));
-  } else if (field == "delack_segments") {
-    cfg.delack_segments = static_cast<int>(value_as_int(v, path));
-  } else if (field == "delack_timeout") {
-    cfg.delack_timeout = value_as_time(v, path);
-  } else if (field == "initial_cwnd") {
-    cfg.initial_cwnd = value_as_int(v, path);
-  } else {
-    unknown_path(path, v.line);
-  }
-}
-
-void set_aqm_field(ScenarioDoc& doc, const std::string& field,
-                   const TomlValue& v, const std::string& path) {
-  net::AqmConfig& aqm = doc.aqm;
-  if (field == "mode") {
-    const std::string mode = value_as_string(v, path);
-    if (mode == "none") aqm.mode = net::AqmMode::kNone;
-    else if (mode == "step") aqm.mode = net::AqmMode::kStepEcn;
-    else if (mode == "red") aqm.mode = net::AqmMode::kRed;
-    else if (mode == "codel") aqm.mode = net::AqmMode::kCodel;
-    else {
-      throw ParseError(v.line, path + ": must be one of none, step, red, "
-                               "codel; got '" + mode + "'");
-    }
-  } else if (field == "step_threshold") {
-    aqm.step_threshold_bytes = value_as_size(v, path);
-  } else if (field == "red_min") {
-    aqm.red_min_bytes = value_as_size(v, path);
-  } else if (field == "red_max") {
-    aqm.red_max_bytes = value_as_size(v, path);
-  } else if (field == "red_max_probability") {
-    aqm.red_max_probability = value_as_double(v, path);
-  } else if (field == "red_weight") {
-    aqm.red_weight = value_as_double(v, path);
-  } else if (field == "codel_target") {
-    aqm.codel_target = value_as_time(v, path);
-  } else if (field == "codel_interval") {
-    aqm.codel_interval = value_as_time(v, path);
-  } else {
-    unknown_path(path, v.line);
-  }
-}
-
-void set_faults_field(ScenarioDoc& doc, const std::string& field,
-                      const TomlValue& v, const std::string& path) {
-  fault::FaultPlan& plan = doc.faults;
-  if (field == "install") plan.install = value_as_bool(v, path);
-  else if (field == "loss") plan.impair.loss_rate = value_as_double(v, path);
-  else if (field == "ge_p_bad") {
-    plan.impair.ge_p_bad = value_as_double(v, path);
-  } else if (field == "ge_p_good") {
-    plan.impair.ge_p_good = value_as_double(v, path);
-  } else if (field == "ge_loss_bad") {
-    plan.impair.ge_loss_bad = value_as_double(v, path);
-  } else if (field == "corrupt") {
-    plan.impair.corrupt_rate = value_as_double(v, path);
-  } else if (field == "reorder") {
-    plan.impair.reorder_rate = value_as_double(v, path);
-  } else if (field == "reorder_delay") {
-    plan.impair.reorder_delay = value_as_time(v, path);
-  } else if (field == "duplicate") {
-    plan.impair.duplicate_rate = value_as_double(v, path);
-  } else if (field == "jitter") {
-    plan.impair.jitter_max = value_as_time(v, path);
-  } else if (field == "seed") {
-    plan.impair.seed =
-        static_cast<std::uint64_t>(value_as_int(v, path));
-  } else {
-    unknown_path(path, v.line);
-  }
-}
-
-void set_energy_field(ScenarioDoc& doc, const std::string& field,
-                      const TomlValue& v, const std::string& path) {
-  energy::PowerCalibration& p = doc.energy.power;
-  if (field == "idle") {
-    p.idle_watts = units::Power::watts(value_as_double(v, path));
-  } else if (field == "net_amplitude") {
-    p.net_amplitude_watts =
-        units::Power::watts(value_as_double(v, path));
-  } else if (field == "net_util_scale") {
-    p.net_util_scale = value_as_double(v, path);
-  } else if (field == "omega") {
-    p.omega_watts_per_pps = value_as_double(v, path);
-  } else if (field == "stress_core") {
-    p.stress_core_watts = units::Power::watts(value_as_double(v, path));
-  } else if (field == "chi") {
-    p.chi_watts_per_gbps = value_as_double(v, path);
-  } else if (field == "total_cores") {
-    p.total_cores = static_cast<int>(value_as_int(v, path));
-  } else {
-    unknown_path(path, v.line);
-  }
-}
-
-void set_energy_work_field(ScenarioDoc& doc, const std::string& field,
-                           const TomlValue& v, const std::string& path) {
-  energy::WorkCalibration& w = doc.energy.work;
-  if (field == "pkt_ns") w.pkt_ns = value_as_double(v, path);
-  else if (field == "byte_ns") w.byte_ns = value_as_double(v, path);
-  else if (field == "ack_ns") w.ack_ns = value_as_double(v, path);
-  else if (field == "retx_ns") w.retx_ns = value_as_double(v, path);
-  else if (field == "timeout_ns") w.timeout_ns = value_as_double(v, path);
-  else if (field == "rx_pkt_ns") w.rx_pkt_ns = value_as_double(v, path);
-  else if (field == "rx_byte_ns") w.rx_byte_ns = value_as_double(v, path);
-  else if (field == "rx_drop_ns") w.rx_drop_ns = value_as_double(v, path);
-  else if (field == "rx_backlog") {
-    w.rx_backlog_packets = static_cast<int>(value_as_int(v, path));
-  } else {
-    unknown_path(path, v.line);
-  }
-}
-
-void set_workload_field(ScenarioDoc& doc, const std::string& field,
-                        const TomlValue& v, const std::string& path) {
-  WorkloadDoc& wl = doc.workload;
-  if (field == "cca") {
-    wl.cca = value_as_string(v, path);
-    require_known_cca(wl.cca, v.line);
-  } else if (field == "load") wl.load = value_as_double(v, path);
-  else if (field == "sizes") wl.sizes = value_as_string(v, path);
-  else if (field == "hosts") {
-    wl.hosts = static_cast<int>(value_as_int(v, path));
-  } else if (field == "horizon") {
-    wl.horizon = value_as_time(v, path);
-  } else {
-    unknown_path(path, v.line);
-  }
-}
-
 }  // namespace
 
 bool paths_overlap(const std::string& a, const std::string& b) {
   if (a == b) return true;
-  const std::vector<std::string> pa = split_path(a);
-  const std::vector<std::string> pb = split_path(b);
-  if (pa.size() == 3 && pb.size() == 3 && pa[0] == "flow" &&
-      pb[0] == "flow" && pa[2] == pb[2]) {
-    return pa[1] == "*" || pb[1] == "*" || pa[1] == pb[1];
+  const PathParts pa = split_path(a);
+  const PathParts pb = split_path(b);
+  if (pa.size == 3 && pb.size == 3 && pa.part[0] == "flow" &&
+      pb.part[0] == "flow" && pa.part[2] == pb.part[2]) {
+    return pa.part[1] == "*" || pb.part[1] == "*" || pa.part[1] == pb.part[1];
   }
   return false;
 }
 
 void apply_binding(ScenarioDoc& doc, const std::string& path,
                    const TomlValue& value) {
-  const std::vector<std::string> parts = split_path(path);
-  if (parts.size() == 3 && parts[0] == "flow") {
-    if (parts[1] == "*") {
+  const PathParts parts = split_path(path);
+  if (parts.size == 3 && parts.part[0] == "flow") {
+    std::size_t first = 0;
+    std::size_t last = doc.flows.size();
+    if (parts.part[1] == "*") {
       if (doc.flows.empty()) {
         throw ParseError(value.line, "sweep path '" + path +
                                          "': scenario has no flows");
       }
-      for (FlowDoc& flow : doc.flows) {
-        set_flow_field(flow, parts[2], value, path);
+    } else {
+      const std::string index_text(parts.part[1]);
+      char* end = nullptr;
+      const long index = std::strtol(index_text.c_str(), &end, 10);
+      if (index_text.empty() || *end != '\0' || index < 0) {
+        unknown_path(path, value.line);
       }
-      return;
+      if (static_cast<std::size_t>(index) >= doc.flows.size()) {
+        throw ParseError(value.line,
+                         "sweep path '" + path + "': flow index out of range "
+                         "(scenario has " +
+                             std::to_string(doc.flows.size()) + " flows)");
+      }
+      first = static_cast<std::size_t>(index);
+      last = first + 1;
     }
-    char* end = nullptr;
-    const long index = std::strtol(parts[1].c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || index < 0) {
-      unknown_path(path, value.line);
+    const KeySpec* key = find_key("flow", parts.part[2]);
+    if (key == nullptr || !key->sweepable) unknown_path(path, value.line);
+    for (std::size_t flow = first; flow < last; ++flow) {
+      set_key(*key, doc, flow, value, path);
     }
-    if (static_cast<std::size_t>(index) >= doc.flows.size()) {
-      throw ParseError(value.line,
-                       "sweep path '" + path + "': flow index out of range "
-                       "(scenario has " +
-                           std::to_string(doc.flows.size()) + " flows)");
-    }
-    set_flow_field(doc.flows[static_cast<std::size_t>(index)], parts[2],
-                   value, path);
     return;
   }
-  if (parts.size() == 3 && parts[0] == "energy" && parts[1] == "work") {
-    set_energy_work_field(doc, parts[2], value, path);
-    return;
+  const KeySpec* key = nullptr;
+  if (parts.size == 2) {
+    key = find_key(parts.part[0], parts.part[1]);
+  } else if (parts.size == 3 && parts.part[0] == "energy" &&
+             parts.part[1] == "work") {
+    key = find_key("energy.work", parts.part[2]);
   }
-  if (parts.size() == 2) {
-    const std::string& section = parts[0];
-    const std::string& field = parts[1];
-    if (section == "scenario") return set_scenario_field(doc, field, value, path);
-    if (section == "topology") return set_topology_field(doc, field, value, path);
-    if (section == "tcp") return set_tcp_field(doc, field, value, path);
-    if (section == "aqm") return set_aqm_field(doc, field, value, path);
-    if (section == "faults") return set_faults_field(doc, field, value, path);
-    if (section == "energy") return set_energy_field(doc, field, value, path);
-    if (section == "workload") return set_workload_field(doc, field, value, path);
+  if (key == nullptr || !key->sweepable || key->section == "flow") {
+    unknown_path(path, value.line);
   }
-  unknown_path(path, value.line);
+  set_key(*key, doc, 0, value, path);
 }
 
 void apply_override(ScenarioDoc& doc, const std::string& assignment) {

@@ -20,8 +20,11 @@ namespace greencc::dsl {
 bool paths_overlap(const std::string& a, const std::string& b);
 
 /// Applies one binding (sweep axis step or --set override) to the
-/// document. Throws ParseError at the value's line for unknown paths and
-/// type/unit mismatches. "flow.*.<field>" fans out to every flow.
+/// document through the key table (keys.h), so the value gets the same
+/// conversion and range check as the file key. Throws ParseError at the
+/// value's line for unknown or unbindable paths and for type, unit and
+/// range errors; messages name the bound path ("flow.0.bytes must be
+/// > 0"). "flow.*.<field>" fans out to every flow.
 void apply_binding(ScenarioDoc& doc, const std::string& path,
                    const TomlValue& value);
 

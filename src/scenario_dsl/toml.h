@@ -52,7 +52,7 @@ struct TomlValue {
   double number = 0.0;         // kFloat (kInt mirrors its value here too)
   bool boolean = false;        // kBool
   std::vector<TomlValue> array;             // kArray
-  std::map<std::string, TomlValue> table;   // kTable
+  std::map<std::string, TomlValue, std::less<>> table;  // kTable
   int line = 0;  // 1-based source line the value started on
 
   bool is_string() const { return kind == Kind::kString; }

@@ -63,7 +63,9 @@ void print_usage(std::FILE* out) {
                "  --set PATH=VALUE     override a scenario field before "
                "expansion\n"
                "                       (same paths as sweep axes; "
-               "repeatable)\n"
+               "repeatable);\n"
+               "                       checked like the file key "
+               "(exit 1 if not)\n"
                "  --audit              arm the invariant auditor (10 ms "
                "cadence)\n"
                "  --deadline SEC       wall-clock watchdog per run (0 = "

@@ -12,6 +12,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/drr.h"
@@ -258,6 +259,63 @@ TEST(DrrPool, FlowJoiningPastTheEndIsServedBeforeTheHead) {
   for (const Departure& d : out.out) order.push_back(d.flow);
   const std::vector<FlowId> expected = {1, 1, 1, 1, 1, 1, 1, 2, 3, 1, 1, 1};
   EXPECT_EQ(order, expected);
+}
+
+// Runs `arrivals` (all at t = 0, weights set first) through both
+// schedulers and returns {pool departures, reference departures}.
+std::pair<std::vector<Departure>, std::vector<Departure>> run_both(
+    const std::vector<std::pair<Packet, double>>& arrivals) {
+  Simulator sim_ref;
+  Recorder ref_out(sim_ref);
+  ReferenceDrr reference(sim_ref, line_rate_config(), &ref_out);
+  Simulator sim_pool;
+  Recorder pool_out(sim_pool);
+  DrrPort pool(sim_pool, "drr", line_rate_config(), &pool_out);
+  for (const auto& [pkt, weight] : arrivals) {
+    reference.set_weight(pkt.flow, weight);
+    pool.set_weight(pkt.flow, weight);
+  }
+  for (const auto& [pkt, weight] : arrivals) {
+    reference.handle(pkt);
+    pool.handle(pkt);
+  }
+  sim_ref.run();
+  sim_pool.run();
+  return {pool_out.out, ref_out.out};
+}
+
+// A quantum of one byte is legal (set_weight accepts it), so a 9000-byte
+// packet needs 9000 visits to its flow. With 20 such flows that is ~180k
+// visits before the first departure, far past any fixed visit budget; the
+// port skips the empty laps and must still depart in the reference order.
+TEST(DrrPool, OneByteQuantaDepartInReferenceOrder) {
+  std::vector<std::pair<Packet, double>> arrivals;
+  for (FlowId flow = 0; flow < 20; ++flow) {
+    arrivals.push_back({pkt_of(flow, flow, 9'000), 1.2e-4});  // quantum 1 B
+  }
+  const auto [pool, reference] = run_both(arrivals);
+  ASSERT_EQ(pool.size(), 20u);
+  EXPECT_EQ(pool, reference);
+}
+
+// Mixed tiny quanta and several packets per flow: laps are skipped at
+// different deficits, and flows leave the round in between.
+TEST(DrrPool, MixedTinyQuantaMatchReference) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    sim::Rng rng(seed);
+    std::vector<std::pair<Packet, double>> arrivals;
+    for (std::int64_t seq = 0; seq < 60; ++seq) {
+      const auto flow = static_cast<FlowId>(pick(rng, 0, 7));
+      // Weights 1.2e-4 .. 0.01 give quanta of 1 to 90 bytes.
+      const double weight = 1.2e-4 + static_cast<double>(flow) * 1.4e-3;
+      arrivals.push_back(
+          {pkt_of(flow, seq, static_cast<std::int32_t>(pick(rng, 64, 9'000))),
+           weight});
+    }
+    const auto [pool, reference] = run_both(arrivals);
+    ASSERT_EQ(pool.size(), reference.size()) << "seed " << seed;
+    EXPECT_EQ(pool, reference) << "seed " << seed;
+  }
 }
 
 TEST(DrrPool, RejectsWeightWhoseQuantumIsBelowOneByte) {

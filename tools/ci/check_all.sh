@@ -9,15 +9,18 @@
 #   4. scenario pack — greencc_sweep --validate over every scenarios/ file
 #   5. default build — cmake --preset default, build, full ctest
 #   6. audit build   — cmake --preset audit, build, full ctest
-#   7. asan smoke    — cmake --preset asan, build, then three labels under
+#   7. asan smoke    — cmake --preset asan, build, then four labels under
 #                      AddressSanitizer: ctest -L isolate, the crash-matrix
 #                      smoke (forked workers dying by SIGSEGV/abort/OOM/
 #                      SIGSTOP), where signals and rlimits take different
 #                      paths; ctest -L sim, the event core, where
 #                      callback-slab slot reuse and moved-from callbacks
-#                      are what ASan catches; and ctest -L packet, the
+#                      are what ASan catches; ctest -L packet, the
 #                      per-packet path, whose rings free their storage
-#                      on drain and reallocate as they grow
+#                      on drain and reallocate as they grow; and
+#                      ctest -L dsl, the scenario DSL's hand-rolled TOML
+#                      parser and key-table walkers, which are string and
+#                      pointer code
 #
 # The remaining sanitizer presets (full asan/ubsan/tsan suites) are heavier
 # and stay separate; see ROADMAP.md for the full release checklist. Usage:
@@ -85,24 +88,28 @@ step "lints"         sh -c "
 step "lint-fixtures" python3 tools/lint/test_lint_rules.py
 step "scenario-pack-validate" validate_scenarios
 asan_smoke() {
-  # Only the `isolate`, `sim` and `packet` labels: full sanitizer suites
+  # Only the `isolate`, `sim`, `packet` and `dsl` labels: full sanitizer suites
   # are a separate gate, but the crash matrix must hold where ASan rewires
   # SIGSEGV into an exit-1 report and RLIMIT_AS is unusable (shadow
   # memory), so the parent-side RSS budget enforcement carries alone; the
   # event core recycles callback-slab slots, where a use of a freed or
   # moved-from callback is exactly what ASan reports; and the packet path
   # keeps packets in rings that free their storage on drain and reallocate
-  # as they grow, so a reference held across either is a use-after-free.
+  # as they grow, so a reference held across either is a use-after-free;
+  # and the DSL parses untrusted text by hand and stores through the key
+  # table's field pointers, where an out-of-bounds read or a stale pointer
+  # is what ASan reports.
   cmake --preset asan >/dev/null &&
     cmake --build --preset asan -j "$(nproc)" &&
     ctest --test-dir build-asan -L isolate --output-on-failure &&
     ctest --test-dir build-asan -L sim --output-on-failure &&
-    ctest --test-dir build-asan -L packet --output-on-failure
+    ctest --test-dir build-asan -L packet --output-on-failure &&
+    ctest --test-dir build-asan -L dsl --output-on-failure
 }
 
 step "build+test default" build_and_test default
 step "build+test audit"   build_and_test audit
-step "asan isolate+sim+packet smoke" asan_smoke
+step "asan isolate+sim+packet+dsl smoke" asan_smoke
 
 echo ""
 echo "=== check_all summary ==="
